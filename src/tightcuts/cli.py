@@ -19,9 +19,9 @@ from itertools import combinations
 from typing import Optional
 
 from . import decomp, elp, gscut, matching
-from .corpus import connected_graphs, edge_splice, gen_named
-from .errors import (BadShore, BadVertex, EvenShore, NeedExternalCorpus, NotMatchingCovered,
-                     NotTight, ParseError, TightcutsError, TrivialCut)
+from .corpus import CorpusStream, edge_splice, gen_named
+from .errors import (BadParameter, BadShore, BadVertex, EvenShore, NeedExternalCorpus,
+                     NotMatchingCovered, NotTight, ParseError, TightcutsError, TrivialCut)
 from .formats import (graph_to_json_obj, parse_graph6, parse_graph_json, read_graph6_lines,
                       write_graph6)
 from .graphcore import MultiGraph, graph_from, make_cut, relabel_graph
@@ -113,7 +113,6 @@ def _names(g: MultiGraph, vs) -> list:
 # -- analyze ---------------------------------------------------------------
 
 _ANALYZE_TIGHT_LIMIT = 14
-_ANALYZE_BARRIER_LIMIT = 20
 
 
 def _analyze_one(g: MultiGraph) -> dict:
@@ -125,7 +124,7 @@ def _analyze_one(g: MultiGraph) -> dict:
     info["bicritical"] = matching.is_bicritical(g) if g.n >= 4 else None
     seps = elp.two_separations(g)
     info["two_separations"] = [_names(g, s.pair) for s in seps]
-    if g.n <= _ANALYZE_BARRIER_LIMIT:
+    if g.n <= elp._BARRIER_ENUM_LIMIT:
         barriers = elp.enumerate_nontrivial_barriers(g)
         info["nontrivial_barriers"] = [_names(g, b.vertices) for b in barriers]
         info["barrier_cuts"] = [_names(g, e.cut.shore) for e in elp.barrier_cuts(g)]
@@ -326,7 +325,8 @@ def _sweep_graph(g6: str, theorems: tuple) -> dict:
 def _sweep_props(g, ntc, fail):
     from .graphcore import contract, edges_between, removed_components
 
-    for barrier in (elp.enumerate_nontrivial_barriers(g) if g.n <= 20 else ()):
+    for barrier in (elp.enumerate_nontrivial_barriers(g)
+                    if g.n <= elp._BARRIER_ENUM_LIMIT else ()):
         b = barrier.vertices
         if any(v in g.adjacency[u] for u, v in combinations(sorted(b), 2)):
             fail("props", "non-trivial barrier inducing an edge (prop 2.2)", b)
@@ -365,27 +365,6 @@ def _sweep_props(g, ntc, fail):
             fail("props", "splice tightness conjunction fails (prop 3.1)")
 
 
-def _corpus_lines(args) -> list:
-    lines = []
-    if args.input is None or args.max_n > 8:
-        for n in range(2, min(args.max_n, 8) + 1, 2):
-            for g in connected_graphs(n):
-                if matching.is_matching_covered(g):
-                    lines.append(write_graph6(g))
-    if args.input is not None:
-        with open(args.input, "r", encoding="ascii") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith(">>"):
-                    continue
-                g = parse_graph6(line)
-                if args.max_n > 8 and g.n <= 8:
-                    continue  # built-in enumeration already covers these
-                if g.n <= args.max_n and matching.is_matching_covered(g):
-                    lines.append(line)
-    return lines
-
-
 def cmd_verify(args) -> int:
     start = time.monotonic()
     theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
@@ -394,8 +373,8 @@ def cmd_verify(args) -> int:
             print(f"error: unknown theorem {t!r}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        lines = _corpus_lines(args)
-    except (ParseError, NeedExternalCorpus, OSError) as exc:
+        lines = [write_graph6(g) for g in CorpusStream(args.max_n, args.input)]
+    except (ParseError, NeedExternalCorpus, BadParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not lines:

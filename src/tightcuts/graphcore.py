@@ -2,9 +2,9 @@
 
 Vertices are ints with no structural meaning; edges are unordered pairs kept
 as a sorted tuple so that the *index* of an edge is its stable reference
-(parallel edges occupy distinct indices).  Everything is immutable; derived
-data is cached on the instance, and a module-level memo keyed by graph value
-lets structurally equal graphs share expensive results.
+(parallel edges occupy distinct indices).  Everything is immutable, so
+derived data and every memoised analysis result live on the graph instance
+itself and are freed with it; equal but distinct instances share nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class MultiGraph:
 
     @cached_property
     def _cache(self) -> dict:
-        # per-instance scratch space for other modules (matching engine etc.)
+        # graph_memo's store: the matching engine and every analysis result
         return {}
 
     # -- basic queries ----------------------------------------------------
@@ -277,7 +277,7 @@ class Cut:
 
     @cached_property
     def edge_indices(self) -> tuple:
-        return cut_edge_indices(self.graph, self.shore)
+        return _crossing_edge_indices(self.graph, self.shore)  # make_cut checked the shore
 
     @cached_property
     def edge_pairs(self) -> tuple:
@@ -311,8 +311,11 @@ def make_cut(g: MultiGraph, shore: Iterable) -> Cut:
 
 
 def cut_edge_indices(g: MultiGraph, shore: Iterable) -> tuple:
-    s = _check_shore(g, shore)
-    mask = g.to_mask(s)
+    return _crossing_edge_indices(g, _check_shore(g, shore))
+
+
+def _crossing_edge_indices(g: MultiGraph, shore: frozenset) -> tuple:
+    mask = g.to_mask(shore)
     idx = g.index
     out = []
     for i, (u, v) in enumerate(g.edges):
@@ -394,16 +397,14 @@ def shore_contraction(g: MultiGraph, shore: Iterable, tag: Optional[str] = None,
     return contract(g, g.vertices - s, tag=tag, new_id=new_id)
 
 
-# -- value-keyed memo ------------------------------------------------------
-
-_VALUE_MEMO: dict = {}
+# -- per-instance memo -----------------------------------------------------
 
 
 def graph_memo(g: MultiGraph, key, compute):
-    """Memoize per graph *value*, so equal graphs share expensive results."""
-    k = (g, key)
+    """Memoize compute() under key on this graph instance; freed with the graph."""
+    cache = g._cache
     try:
-        return _VALUE_MEMO[k]
+        return cache[key]
     except KeyError:
-        _VALUE_MEMO[k] = val = compute()
+        cache[key] = val = compute()
         return val

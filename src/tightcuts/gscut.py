@@ -20,7 +20,7 @@ from .corpus import edge_splice
 from .elp import (Barrier, TwoSeparation, enumerate_nontrivial_barriers, is_barrier,
                   two_separations)
 from .errors import (BadCertificate, BadSplice, NotMatchingCovered, NotTight,
-                     SearchBudgetExceeded, TrivialCut)
+                     SearchBudgetExceeded, TightcutsError, TrivialCut)
 from .graphcore import (Cut, MultiGraph, _check_shore, contract, graph_memo, make_cut,
                         removed_components)
 from .matching import _require_matching_covered, is_tight
@@ -441,8 +441,20 @@ def two_separation_cut_certificate_to_json_obj(witness, shore) -> dict:
 def validate_certificate_json_obj(g: MultiGraph, obj: dict) -> bool:
     """Re-validate any serialized certificate against the graph from scratch.
 
-    Raises BadCertificate with a reason on failure; returns True on success.
+    Raises BadCertificate with a reason on failure, malformed input included;
+    returns True on success.
     """
+    try:
+        return _validate_certificate(g, obj)
+    except BadCertificate:
+        raise
+    except (TightcutsError, KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise BadCertificate(f"malformed certificate: {exc!r}") from exc
+
+
+def _validate_certificate(g: MultiGraph, obj: dict) -> bool:
+    if not isinstance(obj, dict):
+        raise BadCertificate("a certificate is a JSON object")
     kind = obj.get("kind")
     if kind == "barrier-cut":
         shore = frozenset(obj["shore"])
@@ -478,12 +490,19 @@ def validate_certificate_json_obj(g: MultiGraph, obj: dict) -> bool:
             raise BadCertificate("shore is not a GS-cut on re-check")
         if [sorted(p) for p in obj["family"]] != fresh.family_pairs():
             raise BadCertificate("recorded family differs from the associated family")
-        pairs = [frozenset(p) for p in obj["family"]]
-        for i, j, path in obj["chain_witnesses"]:
-            if path[0] != i or path[-1] != j:
+        if list(obj["end_separations"]) != list(fresh.end_separations):
+            raise BadCertificate("end separations differ from the family's ends")
+        k = len(fresh.family)
+        witnesses = obj["chain_witnesses"]
+        if sorted((i, j) for i, j, _ in witnesses) != list(combinations(range(k), 2)):
+            raise BadCertificate("chain witnesses do not cover every family pair once")
+        for i, j, path in witnesses:
+            if not path or path[0] != i or path[-1] != j:
                 raise BadCertificate("chain witness endpoints are wrong")
+            if not set(path) <= set(range(k)):
+                raise BadCertificate("chain witness leaves the family")
             for a, b in zip(path, path[1:]):
-                if len(pairs[a] & pairs[b]) != 1:
+                if len(fresh.family[a].pair & fresh.family[b].pair) != 1:
                     raise BadCertificate("chain witness has a bad link")
         return True
     if kind == "essential-gs":
@@ -513,9 +532,11 @@ def validate_certificate_json_obj(g: MultiGraph, obj: dict) -> bool:
         if frozenset(ximg) != frozenset(obj["shore_image"]):
             raise BadCertificate("shore image does not match the contraction")
         inner = dict(obj["inner"])
+        if inner.get("kind") != "gs":
+            raise BadCertificate("inner certificate is not a GS certificate")
         if frozenset(inner.get("shore", ())) != frozenset(ximg):
             raise BadCertificate("inner certificate names a different shore")
-        validate_certificate_json_obj(current, inner)
+        _validate_certificate(current, inner)
         family = [frozenset(p) for p in inner["family"]]
         for b in ids:
             assigned = frozenset(obj["assignments"][str(b)])

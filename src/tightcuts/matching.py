@@ -127,10 +127,7 @@ class _Engine:
 
 
 def _engine(g: MultiGraph) -> _Engine:
-    eng = g._cache.get("engine")
-    if eng is None:
-        eng = g._cache["engine"] = _Engine(g)
-    return eng
+    return graph_memo(g, "engine", lambda: _Engine(g))
 
 
 def _blossom_has_pm(g: MultiGraph) -> bool:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tightcuts
 from tightcuts.cli import Report, main, report_from_json_obj
 from tightcuts.corpus import gen_h_n_prime, gen_named
 from tightcuts.formats import graph_to_json, write_graph6
@@ -179,12 +181,19 @@ def test_verify_tiny_builtin_corpus(capsys):
     assert f["graphs"] == 3 and f["cuts"] == 0 and f["failures"] == []
 
 
+@pytest.mark.parametrize("max_n", ["7", "2"])
+def test_verify_rejects_odd_or_tiny_max_n(capsys, max_n):
+    assert main(["verify", "--max-n", max_n]) == 2
+    assert "even and >= 4" in capsys.readouterr().err
+
+
 def test_verify_main_theorems_to_6(capsys):
     code, obj = run_json(capsys, ["verify", "--json", "--max-n", "6",
                                   "--theorems", "1.1,1.2,1.3,props"])
     assert code == 0
     f = obj["findings"]
     assert f["graphs"] == 27 and f["failures"] == []
+    assert obj["input_digest"] == "75c0756ae193c08a"
     assert set(f["per_theorem"]) == {"1.1", "1.2", "1.3", "props"}
 
 
@@ -227,6 +236,18 @@ def test_verify_external_corpus_file(capsys, g6_file):
     assert obj["findings"]["graphs"] == 2 and obj["findings"]["cuts"] == 3
 
 
+def test_verify_skips_graph6_header(capsys, tmp_path, g6_file):
+    plain = g6_file("plain.g6", gen_named("k4"), gen_named("c6"))
+    headed = tmp_path / "headed.g6"
+    headed.write_text(">>graph6<<\n" + (tmp_path / "plain.g6").read_text())
+    runs = [run_json(capsys, ["verify", "--json", "--theorems", "1.3", "--input", path])
+            for path in (plain, str(headed))]
+    assert [code for code, _ in runs] == [0, 0]
+    (_, a), (_, b) = runs
+    assert (a["input_digest"], a["findings"]) == (b["input_digest"], b["findings"])
+    assert a["findings"]["graphs"] == 2
+
+
 def test_verify_parallel_jobs(capsys):
     code, obj = run_json(capsys, ["verify", "--json", "--max-n", "4", "--jobs", "2"])
     assert code == 0
@@ -238,8 +259,12 @@ def test_verify_parallel_jobs(capsys):
 
 def test_stdin_route():
     g6 = write_graph6(gen_named("k4"))
+    # the child imports the same package, however this process found it
+    src = os.path.dirname(os.path.dirname(tightcuts.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "tightcuts.cli",
                            "analyze", "--input", "-"],
-                          input=g6 + "\n", capture_output=True, text=True)
+                          input=g6 + "\n", capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "matching_covered=True" in proc.stdout

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from tightcuts.graphcore import (build_graph, contract, cut_edges, cuts_cross,
                                  edges_between, graph_from, graph_memo, is_laminar,
                                  make_cut, relabel_graph, removed_components,
                                  shore_contraction)
+from tightcuts.matching import enumerate_tight_cuts
 
 
 def cycle(n):
@@ -196,13 +200,23 @@ def test_contract_identifies_disconnected_regions():
     assert h.edges == ((1, 6), (1, 6), (3, 4), (3, 6), (4, 5), (5, 6))
 
 
-def test_graph_memo_shared_across_equal_values():
+def test_graph_memo_lives_and_dies_with_its_graph():
     g1 = cycle(6)
     g2 = cycle(6)
+    assert g1 == g2 and g1 is not g2
     calls = []
-    graph_memo(g1, "probe", lambda: calls.append(1) or "x")
-    assert graph_memo(g2, "probe", lambda: calls.append(1) or "y") == "x"
-    assert len(calls) == 1
+    assert graph_memo(g1, "probe", lambda: calls.append(1) or "x") == "x"
+    assert graph_memo(g1, "probe", lambda: calls.append(1) or "z") == "x"
+    assert graph_memo(g2, "probe", lambda: calls.append(1) or "y") == "y"
+    assert len(calls) == 2
+    # the engine and results holding Cut values point back at the graph;
+    # the whole cycle is collected once the graph itself is dropped
+    assert len(enumerate_tight_cuts(g1, nontrivial_only=True)) == 3
+    assert "engine" in g1._cache
+    ref = weakref.ref(g1)
+    del g1
+    gc.collect()
+    assert ref() is None
 
 
 # -- properties ------------------------------------------------------------

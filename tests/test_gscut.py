@@ -253,3 +253,57 @@ def test_essential_certificate_roundtrip():
 def test_unknown_certificate_kind():
     with pytest.raises(BadCertificate):
         validate_certificate_json_obj(gen_named("c6"), {"kind": "zebra"})
+
+
+def gs_case():
+    g, shore = h2_v_side()
+    return g, roundtrip(gs_certificate_to_json_obj(is_gs_cut(g, shore)))
+
+
+def essential_case():
+    g = gen_h_n_prime(4)
+    return g, roundtrip(essential_certificate_to_json_obj(is_essential_gs_cut(g, {0, 1, 2})))
+
+
+def barrier_case():
+    g = gen_named("c6")
+    cls = classify_tight_cut(g, {0, 1, 2})
+    return g, roundtrip(barrier_cut_certificate_to_json_obj(cls.barrier, {0, 1, 2}))
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("case, tamper", [
+    (gs_case, lambda o: dict(o, end_separations=[42])),
+    (gs_case, lambda o: dict(o, end_separations=[0])),
+    (gs_case, lambda o: dict(o, chain_witnesses=[])),
+    (gs_case, lambda o: dict(o, chain_witnesses=o["chain_witnesses"][1:])),
+    (gs_case, lambda o: dict(o, chain_witnesses=o["chain_witnesses"] + [[0, 1, [0, 1]]])),
+    (gs_case, lambda o: dict(o, chain_witnesses=[[0, 1, [0, 1]], [0, 2, [0, -2, 2]],
+                                                 [1, 2, [1, 2]]])),
+    (gs_case, lambda o: dict(o, chain_witnesses=[[0, 1, []], [0, 2, [0, 1, 2]],
+                                                 [1, 2, [1, 2]]])),
+    (gs_case, lambda o: dict(o, chain_witnesses=[[0, 1]])),
+    (gs_case, lambda o: dict(o, shore=None)),
+    (gs_case, lambda o: without(o, "family")),
+    (gs_case, lambda o: [o]),
+    (gs_case, lambda o: None),
+    (essential_case, lambda o: without(o, "regions")),
+    (essential_case, lambda o: dict(o, assignments=[])),
+    (essential_case, lambda o: dict(o, inner=dict(o["inner"], kind="barrier-cut"))),
+    (essential_case, lambda o: dict(o, inner=dict(o["inner"], end_separations=[]))),
+    (barrier_case, lambda o: dict(o, barrier=[])),
+    (barrier_case, lambda o: dict(o, barrier=[99])),
+    (barrier_case, lambda o: dict(o, shore=[[0]])),
+], ids=["end-out-of-range", "end-missing", "no-witnesses", "witness-missing",
+        "witness-repeated", "witness-negative-index", "witness-empty-path",
+        "witness-short", "shore-none", "family-missing", "list", "null",
+        "regions-missing", "assignments-list", "inner-kind", "inner-ends",
+        "barrier-empty", "barrier-unknown-vertex", "shore-unhashable"])
+def test_tampered_certificates_raise_bad_certificate(case, tamper):
+    g, obj = case()
+    assert validate_certificate_json_obj(g, obj)
+    with pytest.raises(BadCertificate):
+        validate_certificate_json_obj(g, tamper(obj))
