@@ -75,7 +75,10 @@ def _read_input(args) -> tuple:
                 raw = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    text = raw.decode("ascii", errors="strict") if args.format == "graph6" else raw.decode("utf-8")
+    try:
+        text = raw.decode("ascii" if args.format == "graph6" else "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {args.format} input: {exc}") from exc
     if args.format == "graph6":
         graphs = list(read_graph6_lines(text.splitlines()))
         if not graphs:

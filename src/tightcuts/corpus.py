@@ -141,7 +141,7 @@ def _to_networkx(g: MultiGraph):
     return h
 
 
-_LEVELS: dict = {}
+_LEVELS: dict = {}  # n -> the edge tuples of its classes, never analysed graphs
 
 
 def connected_graphs(n: int) -> list:
@@ -149,14 +149,15 @@ def connected_graphs(n: int) -> list:
 
     Built by attaching a new vertex with every nonempty neighborhood to each
     (n-1)-vertex class member, bucketing candidates by a structural hash and
-    confirming with an exact isomorphism test.  Deterministic order.
+    confirming with an exact isomorphism test.  Deterministic order.  Later
+    calls rebuild fresh instances from the kept edges, so no memo outlives them.
     """
     if n < 1:
         raise BadParameter("n must be >= 1")
     if n > 8:
         raise NeedExternalCorpus("built-in enumeration stops at 8 vertices")
     if n in _LEVELS:
-        return list(_LEVELS[n])
+        return [build_graph(n, edges) for edges in _LEVELS[n]]
     import networkx as nx
 
     if n == 1:
@@ -177,8 +178,8 @@ def connected_graphs(n: int) -> list:
                     continue
                 bucket.append((cand, cnx))
                 out.append(cand)
-    _LEVELS[n] = tuple(out)
-    return list(out)
+    _LEVELS[n] = tuple(g.edges for g in out)
+    return out
 
 
 class CorpusStream:

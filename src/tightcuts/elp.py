@@ -143,27 +143,23 @@ def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
     """
     cut = make_cut(g, shore)
     _require_matching_covered(g)
-
-    def compute():
-        for side in sorted(cut.shore_pair, key=lambda s: s != cut.shore):
-            if len(side) % 2 == 0:
-                continue
-            comps = removed_components(g, g.vertices - side).components
-            if len(comps) != 1:
-                continue  # the side itself must be connected
-            nbhd = frozenset().union(*(g.adjacency[v] for v in side)) - side
-            far = g.vertices - side
-            pool = sorted(far - nbhd)
-            for size in range(len(pool) + 1):
-                for extra in combinations(pool, size):
-                    b = nbhd | frozenset(extra)
-                    if not b:
-                        continue
-                    if removed_components(g, b).odd_count == len(b):
-                        return _barrier_value(g, b)
-        return None
-
-    return graph_memo(g, ("barrier_cut", cut.shore_pair), compute)
+    for side in sorted(cut.shore_pair, key=lambda s: s != cut.shore):
+        if len(side) % 2 == 0:
+            continue
+        comps = removed_components(g, g.vertices - side).components
+        if len(comps) != 1:
+            continue  # the side itself must be connected
+        nbhd = frozenset().union(*(g.adjacency[v] for v in side)) - side
+        far = g.vertices - side
+        pool = sorted(far - nbhd)
+        for size in range(len(pool) + 1):
+            for extra in combinations(pool, size):
+                b = nbhd | frozenset(extra)
+                if not b:
+                    continue
+                if removed_components(g, b).odd_count == len(b):
+                    return _barrier_value(g, b)
+    return None
 
 
 def two_separations(g: MultiGraph) -> list:
@@ -236,29 +232,25 @@ def elp_set(g: MultiGraph, cut: Cut) -> list:
     verdict = is_tight(g, cut.shore)
     if not verdict.tight:
         raise NotTight("ELP sets are defined for tight cuts", verdict.witness)
-
-    def compute():
-        out = []
-        seen = set()
-        for elp in barrier_cuts(g):
-            b = elp.certificate.barrier.vertices
-            if not (b <= cut.shore or b <= cut.complement):
-                continue  # barrier must be sheltered by C
-            if elp.cut.is_trivial or elp.cut.shore_pair in seen:
-                continue
-            assert is_laminar(elp.cut, cut), "sheltered barrier-cut must be laminar"
-            seen.add(elp.cut.shore_pair)
-            out.append(elp)
-        for elp in all_two_separation_cuts(g):
-            if elp.cut.is_trivial or elp.cut.shore_pair in seen:
-                continue
-            if not is_laminar(elp.cut, cut):
-                continue
-            seen.add(elp.cut.shore_pair)
-            out.append(elp)
-        return tuple(out)
-
-    return list(graph_memo(g, ("elp_set", cut.shore_pair), compute))
+    out = []
+    seen = set()
+    for elp in barrier_cuts(g):
+        b = elp.certificate.barrier.vertices
+        if not (b <= cut.shore or b <= cut.complement):
+            continue  # barrier must be sheltered by C
+        if elp.cut.is_trivial or elp.cut.shore_pair in seen:
+            continue
+        assert is_laminar(elp.cut, cut), "sheltered barrier-cut must be laminar"
+        seen.add(elp.cut.shore_pair)
+        out.append(elp)
+    for elp in all_two_separation_cuts(g):
+        if elp.cut.is_trivial or elp.cut.shore_pair in seen:
+            continue
+        if not is_laminar(elp.cut, cut):
+            continue
+        seen.add(elp.cut.shore_pair)
+        out.append(elp)
+    return out
 
 
 def lift_from_contraction(g: MultiGraph, h: MultiGraph, xbar, u2, s_h: Iterable) -> frozenset:

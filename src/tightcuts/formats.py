@@ -98,8 +98,11 @@ def read_graph6_lines(lines: Iterable) -> Iterator:
 
 
 def read_graph6_file(path: str) -> list:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(read_graph6_lines(fh))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return list(read_graph6_lines(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not ASCII graph6: {exc}") from exc
 
 
 # -- JSON edge lists -------------------------------------------------------

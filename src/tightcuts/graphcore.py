@@ -2,9 +2,10 @@
 
 Vertices are ints with no structural meaning; edges are unordered pairs kept
 as a sorted tuple so that the *index* of an edge is its stable reference
-(parallel edges occupy distinct indices).  Everything is immutable, so
-derived data and every memoised analysis result live on the graph instance
-itself and are freed with it; equal but distinct instances share nothing.
+(parallel edges occupy distinct indices).  Everything is immutable, so derived
+data and graph-level results keyed by name live on the instance and are freed
+with it; per-shore answers are recomputed, and equal but distinct instances
+share nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class MultiGraph:
 
     @cached_property
     def _cache(self) -> dict:
-        # graph_memo's store: the matching engine and every analysis result
+        # graph_memo's store: the matching engine and graph-level results
         return {}
 
     # -- basic queries ----------------------------------------------------
@@ -401,7 +402,7 @@ def shore_contraction(g: MultiGraph, shore: Iterable, tag: Optional[str] = None,
 
 
 def graph_memo(g: MultiGraph, key, compute):
-    """Memoize compute() under key on this graph instance; freed with the graph."""
+    """Graph-level results keyed by name, freed with g; per-shore ones are recomputed."""
     cache = g._cache
     try:
         return cache[key]

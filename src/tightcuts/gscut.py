@@ -21,7 +21,7 @@ from .elp import (Barrier, TwoSeparation, enumerate_nontrivial_barriers, is_barr
                   two_separations)
 from .errors import (BadCertificate, BadSplice, NotMatchingCovered, NotTight,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
-from .graphcore import (Cut, MultiGraph, _check_shore, contract, graph_memo, make_cut,
+from .graphcore import (Cut, MultiGraph, _check_shore, contract, make_cut,
                         removed_components)
 from .matching import _require_matching_covered, is_tight
 
@@ -189,33 +189,29 @@ def is_gs_cut(g: MultiGraph, shore: Iterable) -> Optional[GSCertificate]:
     """Full definitional check; returns a certificate or None."""
     x = _check_shore(g, shore)
     _require_matching_covered(g)
-
-    def compute():
-        family = associated_family(g, x)
-        if not family:
+    family = associated_family(g, x)
+    if not family:
+        return None
+    if not _edge_coverage_ok(g, x, family):
+        return None
+    chain = _family_chain(family)
+    if chain is None:
+        return None
+    for f, f2 in combinations(family, 2):
+        if len(f.pair & f2.pair) != 1:
+            continue
+        if not _condition_pair_ok(g, x, f, f2):
             return None
-        if not _edge_coverage_ok(g, x, family):
+        if not _condition_pair_ok(g, x, f2, f):
             return None
-        chain = _family_chain(family)
-        if chain is None:
-            return None
-        for f, f2 in combinations(family, 2):
-            if len(f.pair & f2.pair) != 1:
-                continue
-            if not _condition_pair_ok(g, x, f, f2):
-                return None
-            if not _condition_pair_ok(g, x, f2, f):
-                return None
-        if not _condition_tail_ok(g, x, family):
-            return None
-        fam = tuple(family)
-        ends = end_2_separations(g, family)
-        end_idx = tuple(i for i, sep in enumerate(family)
-                        if any(e.separation == sep for e in ends))
-        witnesses = tuple((i, j, chain[(i, j)]) for (i, j) in sorted(chain))
-        return GSCertificate(x, fam, witnesses, end_idx)
-
-    return graph_memo(g, ("gs", frozenset((x, g.vertices - x))), compute)
+    if not _condition_tail_ok(g, x, family):
+        return None
+    fam = tuple(family)
+    ends = end_2_separations(g, family)
+    end_idx = tuple(i for i, sep in enumerate(family)
+                    if any(e.separation == sep for e in ends))
+    witnesses = tuple((i, j, chain[(i, j)]) for (i, j) in sorted(chain))
+    return GSCertificate(x, fam, witnesses, end_idx)
 
 
 # -- essential GS-cuts -----------------------------------------------------
@@ -351,20 +347,16 @@ def classify_tight_cut(g: MultiGraph, shore: Iterable,
     verdict = is_tight(g, cut.shore)
     if not verdict.tight:
         raise NotTight("classification applies to tight cuts", verdict.witness)
-
-    def compute():
-        barrier = is_barrier_cut(g, cut.shore)
-        if barrier is not None:
-            return TightCutClassification(cut, "barrier-cut", barrier=barrier)
-        transcript = ["no barrier has either side of the cut as an odd component"]
-        essential = is_essential_gs_cut(g, cut.shore, max_family_size, budget,
-                                        _transcript=transcript)
-        if essential is not None:
-            return TightCutClassification(cut, "essential-gs-cut", essential=essential,
-                                          transcript=tuple(transcript))
-        return TightCutClassification(cut, "unclassified", transcript=tuple(transcript))
-
-    return graph_memo(g, ("classify", cut.shore_pair, max_family_size, budget), compute)
+    barrier = is_barrier_cut(g, cut.shore)
+    if barrier is not None:
+        return TightCutClassification(cut, "barrier-cut", barrier=barrier)
+    transcript = ["no barrier has either side of the cut as an odd component"]
+    essential = is_essential_gs_cut(g, cut.shore, max_family_size, budget,
+                                    _transcript=transcript)
+    if essential is not None:
+        return TightCutClassification(cut, "essential-gs-cut", essential=essential,
+                                      transcript=tuple(transcript))
+    return TightCutClassification(cut, "unclassified", transcript=tuple(transcript))
 
 
 def check_splice_tightness(g1: MultiGraph, g2: MultiGraph, x, y,

@@ -273,6 +273,27 @@ def _require_matching_covered(g: MultiGraph):
         raise NotMatchingCovered("operation requires a matching covered graph")
 
 
+def _pair_witness(g: MultiGraph, idxs: tuple) -> Optional[Matching]:
+    """A perfect matching holding two of the given cut edges (the first such
+    pair in index order), or None exactly when their cut is tight."""
+    eng = _engine(g)
+    ends = eng.edge_ends
+    for a in range(len(idxs)):
+        i1, j1 = ends[idxs[a]]
+        bits1 = (1 << i1) | (1 << j1)
+        for b in range(a + 1, len(idxs)):
+            i2, j2 = ends[idxs[b]]
+            bits2 = (1 << i2) | (1 << j2)
+            if bits1 & bits2:
+                continue  # edges sharing an endpoint never co-occur
+            rest = eng.full & ~(bits1 | bits2)
+            if eng.pm_exists(rest):
+                sub = eng.extract_pm(rest)
+                assert sub is not None
+                return Matching(g, sub | {idxs[a], idxs[b]})
+    return None
+
+
 def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     """Pairwise-deletion tightness test for an odd shore.
 
@@ -284,28 +305,8 @@ def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     if len(cut.shore) % 2 == 0:
         raise EvenShore("tightness is tested on odd shores")
     _require_matching_covered(g)
-
-    def compute():
-        eng = _engine(g)
-        ends = eng.edge_ends
-        idxs = cut.edge_indices
-        for a in range(len(idxs)):
-            i1, j1 = ends[idxs[a]]
-            bits1 = (1 << i1) | (1 << j1)
-            for b in range(a + 1, len(idxs)):
-                i2, j2 = ends[idxs[b]]
-                bits2 = (1 << i2) | (1 << j2)
-                if bits1 & bits2:
-                    continue  # edges sharing an endpoint never co-occur
-                rest = eng.full & ~(bits1 | bits2)
-                if eng.pm_exists(rest):
-                    sub = eng.extract_pm(rest)
-                    assert sub is not None
-                    witness = Matching(g, sub | {idxs[a], idxs[b]})
-                    return TightnessVerdict(False, witness)
-        return TightnessVerdict(True, None)
-
-    return graph_memo(g, ("tight", cut.shore_pair), compute)
+    witness = _pair_witness(g, cut.edge_indices)
+    return TightnessVerdict(witness is None, witness)
 
 
 def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
@@ -341,8 +342,9 @@ def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
     def compute():
         out = []
         for shore in odd_shores(g, nontrivial_only):
-            if is_tight(g, shore).tight:
-                out.append(make_cut(g, shore))
+            cut = Cut(g, shore)  # odd_shores yields only valid odd shores
+            if _pair_witness(g, cut.edge_indices) is None:
+                out.append(cut)
         return tuple(out)
 
     return list(graph_memo(g, ("tight_cuts", nontrivial_only), compute))

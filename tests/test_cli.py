@@ -72,6 +72,16 @@ def test_analyze_malformed_input(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--format", "json"],
+                                  ["verify", "--max-n", "4"]],
+                         ids=["analyze-graph6", "analyze-json", "verify"])
+def test_non_ascii_input_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C~\n\xff\xfe\n")
+    assert main(argv + ["--input", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- classify --------------------------------------------------------------
 
 

@@ -160,6 +160,11 @@ def test_enumeration_against_brute_force(n, classes):
     assert len(reps) == classes == len(connected_graphs(n))
 
 
+def test_level_cache_keeps_no_analysed_graph():
+    list(CorpusStream(6))  # the matching-covered filter memoises on each graph
+    assert all("_cache" not in g.__dict__ for g in connected_graphs(6))
+
+
 def test_enumeration_members_are_pairwise_nonisomorphic():
     got = [to_networkx(g) for g in connected_graphs(5)]
     for a, b in itertools.combinations(got, 2):
@@ -178,7 +183,7 @@ def test_matching_covered_counts_to_6():
 
 
 def test_matching_covered_counts_to_8(corpus8):
-    assert len(corpus8) == 3144  # fixture shares the level cache
+    assert len(corpus8) == 3144
     manifest = enumerate_matching_covered(8).manifest()
     assert manifest["checked"] == 11236
     assert manifest["by_size"] == {"2": 1, "4": 2, "6": 24, "8": 3144}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
-from tightcuts.elp import all_two_separation_cuts
+from tightcuts.elp import all_two_separation_cuts, elp_set
 from tightcuts.errors import (BadCertificate, BadSplice, NotTight, SearchBudgetExceeded,
                               TrivialCut)
 from tightcuts.formats import parse_graph6
@@ -14,6 +14,7 @@ from tightcuts.gscut import (associated_family, barrier_cut_certificate_to_json_
                              gs_certificate_to_json_obj, is_essential_gs_cut, is_gs_cut,
                              two_separation_cut_certificate_to_json_obj,
                              validate_certificate_json_obj)
+from tightcuts.matching import enumerate_tight_cuts, odd_shores
 
 
 def labelled(g, vertices):
@@ -307,3 +308,31 @@ def test_tampered_certificates_raise_bad_certificate(case, tamper):
     assert validate_certificate_json_obj(g, obj)
     with pytest.raises(BadCertificate):
         validate_certificate_json_obj(g, tamper(obj))
+
+
+# -- memo ------------------------------------------------------------------
+
+
+GRAPH_LEVEL_MEMO_KEYS = {"engine", "matching_covered", "bicritical", "two_separations",
+                         "nontrivial_barriers", "barrier_cuts", "all_two_separation_cuts",
+                         ("tight_cuts", False), ("tight_cuts", True)}
+
+
+def test_memo_holds_graph_level_results_only():
+    # per-shore answers are recomputed, so a full analysis leaves only
+    # whole-graph results in the graph's memo
+    g = gen_h_n(2)
+    certs = []
+    for cut in enumerate_tight_cuts(g, nontrivial_only=True):
+        assert elp_set(g, cut)
+        result = classify_tight_cut(g, cut.shore)
+        assert result.verdict == "essential-gs-cut"
+        certs.append(essential_certificate_to_json_obj(result.essential))
+    for shore in odd_shores(g):
+        cert = is_gs_cut(g, shore)
+        if cert is not None:
+            certs.append(gs_certificate_to_json_obj(cert))
+    assert len(certs) == 9 + 13
+    for obj in certs:
+        assert validate_certificate_json_obj(g, roundtrip(obj))
+    assert set(g._cache) <= GRAPH_LEVEL_MEMO_KEYS
