@@ -22,9 +22,8 @@ from . import decomp, elp, gscut, matching
 from .corpus import CorpusStream, edge_splice, gen_named
 from .errors import (BadParameter, BadShore, BadVertex, EvenShore, NeedExternalCorpus,
                      NotMatchingCovered, NotTight, ParseError, TightcutsError, TrivialCut)
-from .formats import (graph_to_json_obj, parse_graph6, parse_graph_json, read_graph6_lines,
-                      write_graph6)
-from .graphcore import MultiGraph, graph_from, make_cut, relabel_graph
+from .formats import parse_graph6, parse_graph_json, read_graph6_lines, write_graph6
+from .graphcore import MultiGraph, make_cut, relabel_graph
 
 VERSION = "0.1.0"
 

@@ -9,7 +9,7 @@ beyond that.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import BadParameter, BadSplice, NeedExternalCorpus, UnknownGraph
 from .formats import read_graph6_file

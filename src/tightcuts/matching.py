@@ -2,9 +2,20 @@
 
 The workhorse is a per-graph engine holding dense bitmask adjacency and a
 memoized "does this vertex subset have a perfect matching" table shared by
-every query against the same graph — the pairwise tightness test hits it
-thousands of times with heavily overlapping subsets.  For graphs past the
-subset-DP comfort zone, existence falls back to networkx's blossom matching.
+every query against the same graph.  Up to `_DP_LIMIT` vertices the answer
+comes from a subset DP; past it each subset is one networkx blossom call, so
+the pairwise tightness test stays polynomial on a single cut.
+
+An odd cut is tight exactly when no two of its edges lie in a common perfect
+matching.  The engine answers that pair question from an edge-pair table
+built on the first tightness query: per edge e, the edges whose pair with e
+is settled (`known`) and those found in a common perfect matching with e
+(`compat`).  The table fills lazily, one pair at a time and only for pairs
+inside a queried cut, so a cut already tested costs no further matching
+query.  `enumerate_tight_cuts` walks the odd shores as dense-index
+combinations, takes each cut's edge mask as the XOR of its vertices'
+incidence masks, and builds a `Cut` only for the shores that come out tight.
+
 An all-subsets Tutte-condition checker provides the independent desk-scale
 oracle, and full enumeration of perfect matchings backs the second tightness
 route.
@@ -14,19 +25,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import EvenShore, GraphTooLarge, NotMatchingCovered, TooSmall
 from .graphcore import Cut, MultiGraph, graph_memo, is_connected, make_cut, removed_components
 
-_DP_LIMIT = 26  # past this, has_perfect_matching uses blossom instead of subset DP
+_DP_LIMIT = 26  # past this, pm_exists asks blossom instead of the subset DP
 _TUTTE_LIMIT = 20
 
 
 class _Engine:
     """Dense-index matching engine cached on one graph instance."""
 
-    __slots__ = ("g", "n", "adj", "edge_ends", "edges_at", "full", "pm_memo", "pms")
+    __slots__ = ("g", "n", "adj", "edge_ends", "edges_at", "full", "pm_memo", "pms",
+                 "inc", "known", "compat")
 
     def __init__(self, g: MultiGraph):
         self.g = g
@@ -41,6 +54,7 @@ class _Engine:
         self.full = g.full_mask
         self.pm_memo = {0: True}
         self.pms = None
+        self.known = None  # the edge-pair table; incidence() builds it
 
     def pm_exists(self, mask: int) -> bool:
         """Perfect matching on the vertex subset given as a dense mask."""
@@ -48,6 +62,9 @@ class _Engine:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        if self.n > _DP_LIMIT:
+            memo[mask] = ok = self._blossom(mask)
+            return ok
         v = (mask & -mask).bit_length() - 1
         ok = False
         nb = self.adj[v] & mask
@@ -60,6 +77,62 @@ class _Engine:
             nb ^= wbit
         memo[mask] = ok
         return ok
+
+    def _blossom(self, mask: int) -> bool:
+        import networkx as nx
+
+        h = nx.Graph()
+        h.add_nodes_from(i for i in range(self.n) if (mask >> i) & 1)
+        h.add_edges_from((i, j) for i, j in self.edge_ends if (mask >> i) & (mask >> j) & 1)
+        return 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == h.number_of_nodes()
+
+    def incidence(self) -> list:
+        """Per-vertex edge masks; the first call also builds the edge-pair table.
+
+        known[e] holds the edges f whose pair with e is settled: those meeting
+        e, which no matching holds together, and those already asked.  Asked
+        pairs are recorded in the row of the lower edge, and compat[e] holds
+        the asked f for which G - V(e) - V(f) has a perfect matching.
+        """
+        if self.known is None:
+            self.inc = inc = [0] * self.n
+            for e, (i, j) in enumerate(self.edge_ends):
+                inc[i] |= 1 << e
+                inc[j] |= 1 << e
+            self.known = [inc[i] | inc[j] for i, j in self.edge_ends]
+            self.compat = [0] * len(self.edge_ends)
+        return self.inc
+
+    def first_pair(self, cut: int) -> Optional[tuple]:
+        """The first pair (e, f), e < f, of the cut's edge mask that a perfect
+        matching holds, or None exactly when the cut of an odd shore is tight.
+
+        Pairs are settled lazily in order (lowest e, then lowest f), and only
+        the unknown ones below the first known compatible pair are asked.
+        """
+        self.incidence()
+        known, compat, ends = self.known, self.compat, self.edge_ends
+        while cut:
+            ebit = cut & -cut
+            cut ^= ebit
+            e = ebit.bit_length() - 1
+            hit = cut & compat[e]
+            todo = cut & ~known[e]
+            if hit:
+                todo &= (hit & -hit) - 1
+            i, j = ends[e]
+            while todo:
+                fbit = todo & -todo
+                todo ^= fbit
+                known[e] |= fbit
+                f = fbit.bit_length() - 1
+                k, m = ends[f]
+                if self.pm_exists(self.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m))):
+                    compat[e] |= fbit
+                    return e, f
+            if hit:
+                return e, (hit & -hit).bit_length() - 1
+        return None
 
     def extract_pm(self, mask: int) -> Optional[frozenset]:
         """A concrete perfect matching on mask as edge indices, or None.
@@ -130,37 +203,15 @@ def _engine(g: MultiGraph) -> _Engine:
     return graph_memo(g, "engine", lambda: _Engine(g))
 
 
-def _blossom_has_pm(g: MultiGraph) -> bool:
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(set(g.edges))
-    return len(nx.max_weight_matching(h, maxcardinality=True)) * 2 == g.n
-
-
 def has_perfect_matching(g: MultiGraph) -> bool:
     """Exact perfect-matching existence (subset DP, blossom beyond the DP cap)."""
-    if g.n % 2 == 1:
-        return False
-    if g.n == 0:
-        return True
-    if g.n <= _DP_LIMIT:
-        return _engine(g).pm_exists(g.full_mask)
-    return _blossom_has_pm(g)
+    return g.n % 2 == 0 and _engine(g).pm_exists(g.full_mask)
 
 
 def subgraph_has_pm(g: MultiGraph, removed: Iterable) -> bool:
     """Perfect matching of G - removed; shares the per-graph memo."""
     rm = frozenset(removed)
-    if (g.n - len(rm)) % 2 == 1:
-        return False
-    if g.n <= _DP_LIMIT:
-        eng = _engine(g)
-        return eng.pm_exists(g.full_mask & ~g.to_mask(rm))
-    sub = MultiGraph(g.vertices - rm,
-                     tuple((u, v) for u, v in g.edges if u not in rm and v not in rm))
-    return _blossom_has_pm(sub)
+    return (g.n - len(rm)) % 2 == 0 and _engine(g).pm_exists(g.full_mask & ~g.to_mask(rm))
 
 
 def tutte_violator(g: MultiGraph) -> Optional[frozenset]:
@@ -273,40 +324,30 @@ def _require_matching_covered(g: MultiGraph):
         raise NotMatchingCovered("operation requires a matching covered graph")
 
 
-def _pair_witness(g: MultiGraph, idxs: tuple) -> Optional[Matching]:
-    """A perfect matching holding two of the given cut edges (the first such
-    pair in index order), or None exactly when their cut is tight."""
-    eng = _engine(g)
-    ends = eng.edge_ends
-    for a in range(len(idxs)):
-        i1, j1 = ends[idxs[a]]
-        bits1 = (1 << i1) | (1 << j1)
-        for b in range(a + 1, len(idxs)):
-            i2, j2 = ends[idxs[b]]
-            bits2 = (1 << i2) | (1 << j2)
-            if bits1 & bits2:
-                continue  # edges sharing an endpoint never co-occur
-            rest = eng.full & ~(bits1 | bits2)
-            if eng.pm_exists(rest):
-                sub = eng.extract_pm(rest)
-                assert sub is not None
-                return Matching(g, sub | {idxs[a], idxs[b]})
-    return None
-
-
 def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     """Pairwise-deletion tightness test for an odd shore.
 
     An odd shore meets every perfect matching an odd number of times, so the
     cut fails to be tight exactly when two disjoint cut edges extend to a
-    perfect matching of the rest; the witness returned is such a matching.
+    perfect matching of the rest; the witness returned is such a matching,
+    built from the first such pair in edge-index order.
     """
     cut = make_cut(g, shore)
     if len(cut.shore) % 2 == 0:
         raise EvenShore("tightness is tested on odd shores")
     _require_matching_covered(g)
-    witness = _pair_witness(g, cut.edge_indices)
-    return TightnessVerdict(witness is None, witness)
+    eng = _engine(g)
+    inc = eng.incidence()
+    idx = g.index
+    mask = 0
+    for v in cut.shore:
+        mask ^= inc[idx[v]]
+    pair = eng.first_pair(mask)
+    if pair is None:
+        return TightnessVerdict(True, None)
+    (i, j), (k, m) = eng.edge_ends[pair[0]], eng.edge_ends[pair[1]]
+    sub = eng.extract_pm(eng.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m)))
+    return TightnessVerdict(False, Matching(g, sub | set(pair)))
 
 
 def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
@@ -322,17 +363,20 @@ def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     return TightnessVerdict(True, None)
 
 
+def _shore_tails(items, nontrivial_only: bool):
+    """For each odd shore through items[0], its other members, in odd_shores order."""
+    n = len(items)
+    lo = 3 if nontrivial_only else 1
+    hi = n - 3 if nontrivial_only else n - 1
+    for size in range(lo, hi + 1, 2):
+        yield from combinations(items[1:], size - 1)
+
+
 def odd_shores(g: MultiGraph, nontrivial_only: bool = False):
     """All odd shores up to complement, ordered by size then lexicographically."""
     order = g.order
-    rest = order[1:]
-    lo = 3 if nontrivial_only else 1
-    hi = g.n - 3 if nontrivial_only else g.n - 1
-    from itertools import combinations
-
-    for size in range(lo, hi + 1, 2):
-        for tail in combinations(rest, size - 1):
-            yield frozenset((order[0],) + tail)
+    for tail in _shore_tails(order, nontrivial_only):
+        yield frozenset((order[0],) + tail)
 
 
 def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
@@ -340,11 +384,16 @@ def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
     _require_matching_covered(g)
 
     def compute():
+        eng = _engine(g)
+        inc = eng.incidence()
+        order = g.order
         out = []
-        for shore in odd_shores(g, nontrivial_only):
-            cut = Cut(g, shore)  # odd_shores yields only valid odd shores
-            if _pair_witness(g, cut.edge_indices) is None:
-                out.append(cut)
+        for tail in _shore_tails(range(g.n), nontrivial_only):
+            mask = inc[0]
+            for i in tail:
+                mask ^= inc[i]
+            if eng.first_pair(mask) is None:
+                out.append(Cut(g, frozenset(order[i] for i in (0,) + tail)))
         return tuple(out)
 
     return list(graph_memo(g, ("tight_cuts", nontrivial_only), compute))

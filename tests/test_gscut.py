@@ -7,14 +7,14 @@ from tightcuts.elp import all_two_separation_cuts, elp_set
 from tightcuts.errors import (BadCertificate, BadSplice, NotTight, SearchBudgetExceeded,
                               TrivialCut)
 from tightcuts.formats import parse_graph6
-from tightcuts.graphcore import build_graph, graph_from, relabel_graph
+from tightcuts.graphcore import graph_from, relabel_graph
 from tightcuts.gscut import (associated_family, barrier_cut_certificate_to_json_obj,
                              check_splice_tightness, classify_tight_cut,
                              end_2_separations, essential_certificate_to_json_obj,
                              gs_certificate_to_json_obj, is_essential_gs_cut, is_gs_cut,
                              two_separation_cut_certificate_to_json_obj,
                              validate_certificate_json_obj)
-from tightcuts.matching import enumerate_tight_cuts, odd_shores
+from tightcuts.matching import _engine, enumerate_tight_cuts, is_tight, odd_shores
 
 
 def labelled(g, vertices):
@@ -336,3 +336,21 @@ def test_memo_holds_graph_level_results_only():
     for obj in certs:
         assert validate_certificate_json_obj(g, roundtrip(obj))
     assert set(g._cache) <= GRAPH_LEVEL_MEMO_KEYS
+
+
+@pytest.mark.parametrize("g", [gen_h_n(2), parse_graph6("GsQcd{")], ids=["h2", "GsQcd{"])
+def test_repeat_tightness_queries_ask_nothing_new(g):
+    # enumerate_tight_cuts settles every pair inside each tight cut, so the
+    # tightness checks of is_tight, elp_set and classify_tight_cut on those
+    # cuts are answered from the engine's edge-pair table alone
+    cuts = enumerate_tight_cuts(g)
+    eng = _engine(g)
+    pm_entries, known = len(eng.pm_memo), list(eng.known)
+    verdicts = set()
+    for cut in cuts:
+        assert is_tight(g, cut.shore).tight
+        if not cut.is_trivial:
+            assert elp_set(g, cut)
+            verdicts.add(classify_tight_cut(g, cut.shore).verdict)
+    assert len(cuts) > g.n and verdicts
+    assert len(eng.pm_memo) == pm_entries and eng.known == known

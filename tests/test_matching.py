@@ -1,13 +1,15 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import to_networkx
-from tightcuts.corpus import gen_named
+from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
-from tightcuts.graphcore import build_graph, make_cut
+from tightcuts.graphcore import build_graph, cut_edge_indices, make_cut
 from tightcuts.matching import (enumerate_perfect_matchings, enumerate_tight_cuts,
                                 has_perfect_matching, is_bicritical, is_matching_covered,
                                 is_tight, is_tight_by_enumeration, odd_shores,
@@ -146,6 +148,36 @@ def test_both_tightness_routes_agree_on_small_corpus(corpus6):
     for g in corpus6:
         for shore in odd_shores(g):
             assert is_tight(g, shore).tight == is_tight_by_enumeration(g, shore).tight
+
+
+def test_witness_holds_the_first_pair_some_matching_holds(corpus6, corpus8, sample10):
+    # oracle: full enumeration; the witness must contain the first pair (e, f)
+    # of cut edges, in index order, that some perfect matching contains
+    rng = random.Random(7)
+    graphs = rng.sample(corpus6 + corpus8, 200) + rng.sample(sample10, 5)
+    checked = 0
+    for g in graphs:
+        shores = [s for s in odd_shores(g) if not is_tight(g, s).tight]
+        pms = [m.edge_indices for m in enumerate_perfect_matchings(g)]
+        for shore in rng.sample(shores, min(len(shores), 3)):
+            idxs = cut_edge_indices(g, shore)
+            first = next((e, f) for a, e in enumerate(idxs) for f in idxs[a + 1:]
+                         if any(e in m and f in m for m in pms))
+            w = is_tight(g, shore).witness
+            assert w.is_perfect
+            assert set(first) <= w.edge_indices
+            checked += 1
+    assert checked > 300
+
+
+def test_single_cut_tightness_past_the_dp_limit():
+    # 42 vertices: every pair query and witness step goes through blossom
+    g = gen_h_n(10)
+    v_side = frozenset(v for v, lab in g.label_items if lab.startswith("v"))
+    assert g.n == 42 and is_tight(g, v_side).tight
+    shore = (v_side - {min(v_side)}) | {max(g.vertices)}
+    verdict = is_tight(g, shore)
+    assert not verdict.tight and verdict.witness.is_perfect
 
 
 def test_odd_shores_counts_and_order():
