@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .elp import all_two_separation_cuts, barrier_cuts
-from .graphcore import Cut, MultiGraph, contract, is_bipartite, make_cut
-from .matching import _require_matching_covered, enumerate_tight_cuts, is_tight, odd_shores
+from .graphcore import Cut, MultiGraph, contract, is_bipartite
+from .matching import _require_matching_covered, _shore_tails, enumerate_tight_cuts, is_tight
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,25 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
                               seed: int = 0) -> Optional[Cut]:
     """A seed-chosen non-trivial tight cut, or None for bricks and braces.
 
-    exhaustive walks all odd shores in seed-shuffled order and returns the
-    first tight one; elp-first draws from the barrier-cuts and 2-separation
+    exhaustive takes the first tight one among all non-trivial odd shores in
+    seed-shuffled order; elp-first draws from the barrier-cuts and 2-separation
     cuts, which are always tight and always include one when any non-trivial
     tight cut exists.
     """
     _require_matching_covered(g)
     rng = random.Random(seed)
     if strategy == "exhaustive":
-        shores = list(odd_shores(g, nontrivial_only=True))
-        rng.shuffle(shores)
-        # membership in the precomputed tight set equals testing shores in order
-        tight = {c.shore_pair for c in enumerate_tight_cuts(g, nontrivial_only=True)}
-        for shore in shores:
-            if frozenset((shore, g.vertices - shore)) in tight:
-                return make_cut(g, shore)
-        return None
+        # every tight shore holds the lowest vertex, so its other members name
+        # its slot among the odd shores; shuffle draws depend only on the list
+        # length, so shuffling the slots picks the cut shuffling the shores would
+        idx = g.index
+        tight = {tuple(sorted(idx[v] for v in c.shore))[1:]: c
+                 for c in enumerate_tight_cuts(g, nontrivial_only=True)}
+        if not tight:
+            return None
+        slots = [tight.get(tail) for tail in _shore_tails(range(g.n), True)]
+        rng.shuffle(slots)
+        return next(c for c in slots if c is not None)
     if strategy == "elp-first":
         candidates = [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
         candidates += [e.cut for e in all_two_separation_cuts(g) if not e.cut.is_trivial]

@@ -6,6 +6,14 @@ each odd component's boundary is a barrier-cut.  A 2-separation is a
 grouping the components and adding either separation vertex gives the
 2-separation cuts.  ELP(C) collects the non-trivial cuts of both kinds that
 sit compatibly with a given non-trivial tight cut C.
+
+A matching covered graph is elementary, so its maximal barriers partition
+the vertex set, and u, v lie in one exactly when G - u - v has no perfect
+matching (Lovász & Plummer, *Matching Theory*, 1986, 5.2).  Every barrier
+lies inside one class of that partition (`barrier_classes`), so barrier
+search walks the subsets of one class at a time.  Candidates are tested as
+dense-index masks, counting odd components by popcount; frozensets are built
+only for the barriers and 2-separations that are found.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from typing import Iterable, Optional
 
 from .errors import (BadCertificate, EmptySet, GraphMismatch, GraphTooLarge, NotTight,
                      TrivialCut)
-from .graphcore import (Cut, MultiGraph, graph_memo, is_laminar, make_cut,
+from .graphcore import (Cut, MultiGraph, _component_masks, graph_memo, is_laminar, make_cut,
                         removed_components)
-from .matching import _require_matching_covered, is_tight
+from .matching import _engine, _require_matching_covered, is_tight
 
 _BARRIER_ENUM_LIMIT = 20
 
@@ -76,38 +84,76 @@ def _barrier_value(g: MultiGraph, b: frozenset, maximal=None) -> Barrier:
     return Barrier(b, report.components, maximal)
 
 
-def enumerate_nontrivial_barriers(g: MultiGraph) -> list:
-    """All barriers of size >= 2 of a matching covered graph.
+def _odd_count(g: MultiGraph, removed: int) -> int:
+    """The number of odd components of G - removed, for a dense-index mask."""
+    return sum(c.bit_count() & 1 for c in _component_masks(g, g.full_mask & ~removed))
 
-    In a matching covered graph a non-trivial barrier induces no edges, so the
-    walk extends independent sets only; each candidate is then checked
-    directly.  Exponential in principle; hard-capped by vertex count.
+
+def _bits(mask: int) -> list:
+    """The single-bit masks of mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b)
+        mask ^= b
+    return out
+
+
+def barrier_classes(g: MultiGraph) -> tuple:
+    """The maximal barriers of a matching covered graph as dense-index masks.
+
+    They partition V, and u, v share one exactly when G - u - v has no
+    perfect matching; adjacent vertices never do, since their edge lies in a
+    perfect matching.  Ordered by lowest member.  The pair queries run on a
+    throwaway copy of the engine's subset memo, so the memo the graph keeps
+    does not grow.
+    """
+    _require_matching_covered(g)
+
+    def compute():
+        eng = _engine(g)
+        adj = g.adj_masks
+        kept = eng.pm_memo
+        eng.pm_memo = dict(kept)
+        try:
+            classes = []
+            left = g.full_mask
+            while left:
+                ubit = left & -left
+                cls = ubit
+                for vbit in _bits(left & ~ubit & ~adj[ubit.bit_length() - 1]):
+                    if not eng.pm_exists(g.full_mask & ~(ubit | vbit)):
+                        cls |= vbit
+                classes.append(cls)
+                left &= ~cls
+        finally:
+            eng.pm_memo = kept
+        return tuple(classes)
+
+    return graph_memo(g, "barrier_classes", compute)
+
+
+def enumerate_nontrivial_barriers(g: MultiGraph) -> list:
+    """All barriers of size >= 2 of a matching covered graph, sorted by vertices.
+
+    Every barrier lies inside one maximal barrier, so the walk tries the
+    subsets of size >= 2 of each class of `barrier_classes`; a barrier is
+    maximal exactly when it is its whole class.  Exponential in the class
+    size; hard-capped by vertex count.
     """
     if g.n > _BARRIER_ENUM_LIMIT:
         raise GraphTooLarge(f"barrier enumeration is capped at {_BARRIER_ENUM_LIMIT} vertices")
     _require_matching_covered(g)
 
     def compute():
-        order = g.order
-        idx = g.index
-        adj = g.adj_masks
-        found = []
-
-        def extend(current, current_mask, start):
-            if len(current) >= 2 and removed_components(g, current).odd_count == len(current):
-                found.append(frozenset(current))
-            for k in range(start, g.n):
-                if adj[k] & current_mask:
-                    continue  # keep the candidate independent
-                current.append(order[k])
-                extend(current, current_mask | (1 << k), k + 1)
-                current.pop()
-
-        extend([], 0, 0)
         out = []
-        for b in found:
-            maximal = not any(other > b for other in found)
-            out.append(_barrier_value(g, b, maximal))
+        for cls in barrier_classes(g):
+            members = _bits(cls)
+            for size in range(2, len(members) + 1):
+                for combo in combinations(members, size):
+                    b = sum(combo)
+                    if _odd_count(g, b) == size:
+                        out.append(_barrier_value(g, g.from_mask(b), b == cls))
         out.sort(key=lambda bar: sorted(bar.vertices))
         return tuple(out)
 
@@ -137,28 +183,30 @@ def barrier_cuts(g: MultiGraph) -> list:
 def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
     """A barrier having one side of the cut as an odd component, if any exists.
 
-    If G[X] is to be a component of G - B then N(X) <= B <= complement(X), so
-    the search extends N(X) by subsets of the remaining far-side vertices,
-    smallest extension first.
+    If G[X] is to be a component of G - B then N(X) <= B <= complement(X).  A
+    barrier lies inside one maximal barrier, so a side whose N(X) meets two
+    classes of `barrier_classes` has none; otherwise the search extends N(X)
+    by subsets of the rest of its class off X, smallest extension first.
     """
     cut = make_cut(g, shore)
     _require_matching_covered(g)
     for side in sorted(cut.shore_pair, key=lambda s: s != cut.shore):
         if len(side) % 2 == 0:
             continue
-        comps = removed_components(g, g.vertices - side).components
-        if len(comps) != 1:
+        x = g.to_mask(side)
+        if len(_component_masks(g, x)) != 1:
             continue  # the side itself must be connected
-        nbhd = frozenset().union(*(g.adjacency[v] for v in side)) - side
-        far = g.vertices - side
-        pool = sorted(far - nbhd)
+        # nonempty: the graph is connected and X is proper
+        nbhd = g.to_mask(frozenset().union(*(g.adjacency[v] for v in side))) & ~x
+        home = next(c for c in barrier_classes(g) if c & nbhd)
+        if nbhd & ~home:
+            continue
+        pool = _bits(home & ~x & ~nbhd)
         for size in range(len(pool) + 1):
             for extra in combinations(pool, size):
-                b = nbhd | frozenset(extra)
-                if not b:
-                    continue
-                if removed_components(g, b).odd_count == len(b):
-                    return _barrier_value(g, b)
+                b = nbhd | sum(extra)
+                if _odd_count(g, b) == b.bit_count():
+                    return _barrier_value(g, g.from_mask(b))
     return None
 
 
@@ -169,10 +217,11 @@ def two_separations(g: MultiGraph) -> list:
     def compute():
         out = []
         order = g.order
-        for a, b in combinations(order, 2):
-            report = removed_components(g, (a, b))
-            if len(report.components) >= 2 and report.odd_count == 0:
-                out.append(TwoSeparation(frozenset((a, b)), report.components))
+        for i, j in combinations(range(g.n), 2):
+            comps = _component_masks(g, g.full_mask & ~((1 << i) | (1 << j)))
+            if len(comps) >= 2 and not any(c.bit_count() & 1 for c in comps):
+                pair = (order[i], order[j])
+                out.append(TwoSeparation(frozenset(pair), removed_components(g, pair).components))
         return tuple(out)
 
     return list(graph_memo(g, "two_separations", compute))

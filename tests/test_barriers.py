@@ -1,0 +1,249 @@
+"""Barrier search inside the maximal-barrier partition, against oracles.
+
+The oracles below are the searches the library ran before it used the
+partition: an independent-set walk for barriers, a subset search over the
+whole far side for barrier-cuts, component reports for every vertex pair for
+2-separations, and a seeded shuffle of every non-trivial odd shore for the
+exhaustive cut choice.  They share nothing with the engine's barrier code
+beyond `removed_components`, and the engine must agree with them exactly:
+same sets, witnesses, `maximal` flags, order and seeded choices.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from tightcuts.corpus import edge_splice, gen_h_n, gen_named
+from tightcuts.decomp import find_nontrivial_tight_cut
+from tightcuts.elp import (barrier_classes, enumerate_nontrivial_barriers, is_barrier,
+                           is_barrier_cut, two_separations)
+from tightcuts.graphcore import build_graph, relabel_graph, removed_components
+from tightcuts.matching import (_engine, enumerate_tight_cuts, is_matching_covered, is_tight,
+                                odd_shores)
+
+
+# -- oracles ---------------------------------------------------------------
+
+
+def oracle_barriers(g):
+    """Walk every independent set; keep those that are barriers of size >= 2."""
+    order = g.order
+    found = []
+
+    def extend(current, start):
+        if len(current) >= 2 and removed_components(g, current).odd_count == len(current):
+            found.append(frozenset(current))
+        for k in range(start, g.n):
+            v = order[k]
+            if any(u in g.adjacency[v] for u in current):
+                continue
+            current.append(v)
+            extend(current, k + 1)
+            current.pop()
+
+    extend([], 0)
+    out = [(sorted(b), removed_components(g, b).components,
+            not any(other > b for other in found)) for b in found]
+    out.sort(key=lambda row: row[0])
+    return out
+
+
+def oracle_two_separations(g):
+    out = []
+    for pair in combinations(g.order, 2):
+        report = removed_components(g, pair)
+        if len(report.components) >= 2 and report.odd_count == 0:
+            out.append((frozenset(pair), report.components))
+    return out
+
+
+def oracle_is_barrier_cut(g, shore):
+    """Extend N(X) by every subset of the far side off N(X), smallest first."""
+    shore = frozenset(shore)
+    for side in (shore, g.vertices - shore):
+        if len(side) % 2 == 0:
+            continue
+        if len(removed_components(g, g.vertices - side).components) != 1:
+            continue
+        nbhd = neighbourhood(g, side)
+        pool = sorted(g.vertices - side - nbhd)
+        for size in range(len(pool) + 1):
+            for extra in combinations(pool, size):
+                b = nbhd | frozenset(extra)
+                report = removed_components(g, b)
+                if report.odd_count == len(b):
+                    return b, report.components
+    return None
+
+
+def neighbourhood(g, side):
+    return frozenset().union(*(g.adjacency[v] for v in side)) - side
+
+
+def oracle_exhaustive_cut(g, seed):
+    """Shuffle every non-trivial odd shore by the seed; the first tight one."""
+    shores = list(odd_shores(g, nontrivial_only=True))
+    random.Random(seed).shuffle(shores)
+    return next((s for s in shores if is_tight(g, s).tight), None)
+
+
+# -- inputs ----------------------------------------------------------------
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+PRISM = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                        (0, 3), (1, 4), (2, 5)])
+def cube():
+    return build_graph(8, [(i, i ^ (1 << k)) for i in range(8) for k in range(3)
+                           if i < i ^ (1 << k)])
+
+
+def splice_chain(rng, parts, target):
+    """Splice seeded parts along seeded edges until the chain has target vertices."""
+    g = rng.choice(parts)
+    while g.n < target:
+        part = rng.choice([p for p in parts if p.n - 2 <= target - g.n])
+        x, y = rng.choice(g.edges)
+        a, b = rng.choice(part.edges)
+        fresh = iter(range(max(g.vertices) + 1, max(g.vertices) + part.n))
+        mapping = {v: next(fresh) for v in part.order if v not in (a, b)}
+        mapping[a], mapping[b] = x, y
+        g = edge_splice(g, relabel_graph(part, mapping), x, y)
+    return g
+
+
+@pytest.fixture(scope="module")
+def chains(corpus6):
+    rng = random.Random(20261018)
+    parts = [g for g in corpus6 if g.n >= 4]
+    out = []
+    for target in (14, 16, 18, 20):
+        g = splice_chain(rng, parts, target)
+        assert is_matching_covered(g)
+        out.append(g)
+    return out
+
+
+# -- the engine against the oracles ----------------------------------------
+
+
+def barrier_rows(g):
+    return [(sorted(b.vertices), b.odd_components, b.maximal)
+            for b in enumerate_nontrivial_barriers(g)]
+
+
+def separation_rows(g):
+    return [(s.pair, s.components) for s in two_separations(g)]
+
+
+def test_barriers_and_separations_match_oracle_on_corpus8(corpus8):
+    found = 0
+    for g in corpus8:
+        rows = barrier_rows(g)
+        assert rows == oracle_barriers(g)
+        assert separation_rows(g) == oracle_two_separations(g)
+        found += len(rows)
+    assert found > 1000
+
+
+def test_barriers_and_separations_match_oracle_on_sample10(sample10):
+    for g in sample10:
+        assert barrier_rows(g) == oracle_barriers(g)
+        assert separation_rows(g) == oracle_two_separations(g)
+
+
+def test_barriers_and_separations_match_oracle_on_chains(chains):
+    for g in chains:
+        rows = barrier_rows(g)
+        assert rows == oracle_barriers(g)
+        assert separation_rows(g) == oracle_two_separations(g)
+        assert two_separations(g)
+
+
+def barrier_cut_row(g, shore):
+    got = is_barrier_cut(g, shore)
+    return None if got is None else (got.vertices, got.odd_components)
+
+
+def test_is_barrier_cut_matches_oracle_on_tight_cuts(corpus8, sample10, chains):
+    # trivial cuts included: theirs are the answers that need N(X) extended
+    hits = misses = extended = 0
+    for g in corpus8 + sample10 + chains + [cube()]:
+        for cut in enumerate_tight_cuts(g):
+            got = barrier_cut_row(g, cut.shore)
+            assert got == oracle_is_barrier_cut(g, cut.shore)
+            hits += got is not None
+            misses += got is None
+            extended += got is not None and not any(
+                got[0] == neighbourhood(g, side) for side in cut.shore_pair)
+    assert hits and misses and extended
+
+
+def test_is_barrier_cut_matches_oracle_on_non_tight_shores(corpus8, sample10):
+    rng = random.Random(31)
+    checked = 0
+    for g in rng.sample(corpus8, 150) + sample10[:50]:
+        for shore in rng.sample(list(odd_shores(g)), 4):
+            if is_tight(g, shore).tight:
+                continue
+            assert barrier_cut_row(g, shore) == oracle_is_barrier_cut(g, shore)
+            checked += 1
+    assert checked > 400
+
+
+def test_exhaustive_cut_choice_matches_oracle(corpus8, sample10):
+    rng = random.Random(47)
+    graphs = rng.sample(corpus8, 150) + sample10[:40] + [gen_h_n(k) for k in (1, 2, 3)]
+    for g in graphs:
+        for seed in (0, 1, rng.randrange(1 << 31)):
+            cut = find_nontrivial_tight_cut(g, "exhaustive", seed)
+            want = oracle_exhaustive_cut(g, seed)
+            assert (None if cut is None else cut.shore) == want
+
+
+# -- the partition ---------------------------------------------------------
+
+
+def class_sets(g):
+    return [g.from_mask(c) for c in barrier_classes(g)]
+
+
+def test_classes_partition_the_vertices_into_barriers(corpus8, sample10):
+    for g in corpus8 + sample10[:100]:
+        classes = class_sets(g)
+        assert sum(len(c) for c in classes) == g.n
+        assert frozenset().union(*classes) == g.vertices
+        for c in classes:
+            if len(c) >= 2:
+                assert is_barrier(g, c)
+
+
+@pytest.mark.parametrize("g", [gen_named("k4"), PRISM, gen_named("petersen")],
+                         ids=["k4", "prism", "petersen"])
+def test_bicritical_graphs_have_singleton_classes(g):
+    assert sorted(map(sorted, class_sets(g))) == [[v] for v in g.order]
+
+
+@pytest.mark.parametrize("g, colours", [
+    (cycle(6), [{0, 2, 4}, {1, 3, 5}]),
+    (gen_named("k33"), [{0, 1, 2}, {3, 4, 5}]),
+    (cube(), [{0, 3, 5, 6}, {1, 2, 4, 7}]),
+], ids=["c6", "k33", "cube"])
+def test_bipartite_graphs_have_their_colour_classes(g, colours):
+    assert sorted(map(sorted, class_sets(g))) == sorted(map(sorted, colours))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_h_n(3), lambda: cycle(12), cube],
+                         ids=["h3", "c12", "cube"])
+def test_class_queries_leave_the_subset_memo_alone(make):
+    g = make()  # a fresh instance, so nothing is memoised yet
+    assert is_matching_covered(g)
+    memo = _engine(g).pm_memo
+    before = len(memo)
+    barrier_classes(g)
+    enumerate_nontrivial_barriers(g)
+    assert _engine(g).pm_memo is memo and len(memo) == before

@@ -314,8 +314,8 @@ def test_tampered_certificates_raise_bad_certificate(case, tamper):
 
 
 GRAPH_LEVEL_MEMO_KEYS = {"engine", "matching_covered", "bicritical", "two_separations",
-                         "nontrivial_barriers", "barrier_cuts", "all_two_separation_cuts",
-                         ("tight_cuts", False), ("tight_cuts", True)}
+                         "barrier_classes", "nontrivial_barriers", "barrier_cuts",
+                         "all_two_separation_cuts", ("tight_cuts", False), ("tight_cuts", True)}
 
 
 def test_memo_holds_graph_level_results_only():
