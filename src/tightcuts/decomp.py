@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .elp import all_two_separation_cuts, barrier_cuts
-from .graphcore import Cut, MultiGraph, contract, is_bipartite
+from .graphcore import Cut, MultiGraph, contract, drop_memo, is_bipartite
 from .matching import _require_matching_covered, _shore_tails, enumerate_tight_cuts, is_tight
 
 
@@ -76,18 +76,22 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
             if c.shore_pair not in seen:
                 seen.add(c.shore_pair)
                 unique.append(c)
+        if not unique:
+            return None
         rng.shuffle(unique)
-        for c in unique:
-            assert is_tight(g, c.shore).tight, "ELP-cuts must be tight"
-            return c
-        return None
+        assert is_tight(g, unique[0].shore).tight, "ELP-cuts must be tight"
+        return unique[0]
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def decompose(g: MultiGraph, strategy: str = "exhaustive", seed: int = 0) -> DecompositionTree:
-    """Recursively split on non-trivial tight cuts down to bricks and braces."""
+    """Recursively split on non-trivial tight cuts down to bricks and braces.
+
+    Each node's memo, the input's included, is dropped once its cut is chosen.
+    """
     _require_matching_covered(g)
     cut = find_nontrivial_tight_cut(g, strategy, seed)
+    drop_memo(g)  # contraction and bipartiteness read no memo
     if cut is None:
         kind = "brace" if is_bipartite(g) else "brick"
         return DecompositionTree(g, None, (), kind)

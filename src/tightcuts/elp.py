@@ -13,7 +13,8 @@ matching (Lovász & Plummer, *Matching Theory*, 1986, 5.2).  Every barrier
 lies inside one class of that partition (`barrier_classes`), so barrier
 search walks the subsets of one class at a time.  Candidates are tested as
 dense-index masks, counting odd components by popcount; frozensets are built
-only for the barriers and 2-separations that are found.
+only for the barriers and 2-separations that are found.  The class queries
+fill the graph's own memo, freed with it or by `graphcore.drop_memo`.
 """
 
 from __future__ import annotations
@@ -104,30 +105,24 @@ def barrier_classes(g: MultiGraph) -> tuple:
 
     They partition V, and u, v share one exactly when G - u - v has no
     perfect matching; adjacent vertices never do, since their edge lies in a
-    perfect matching.  Ordered by lowest member.  The pair queries run on a
-    throwaway copy of the engine's subset memo, so the memo the graph keeps
-    does not grow.
+    perfect matching.  Ordered by lowest member.  The pair queries fill the
+    graph's own subset memo.
     """
     _require_matching_covered(g)
 
     def compute():
         eng = _engine(g)
         adj = g.adj_masks
-        kept = eng.pm_memo
-        eng.pm_memo = dict(kept)
-        try:
-            classes = []
-            left = g.full_mask
-            while left:
-                ubit = left & -left
-                cls = ubit
-                for vbit in _bits(left & ~ubit & ~adj[ubit.bit_length() - 1]):
-                    if not eng.pm_exists(g.full_mask & ~(ubit | vbit)):
-                        cls |= vbit
-                classes.append(cls)
-                left &= ~cls
-        finally:
-            eng.pm_memo = kept
+        classes = []
+        left = g.full_mask
+        while left:
+            ubit = left & -left
+            cls = ubit
+            for vbit in _bits(left & ~ubit & ~adj[ubit.bit_length() - 1]):
+                if not eng.pm_exists(g.full_mask & ~(ubit | vbit)):
+                    cls |= vbit
+            classes.append(cls)
+            left &= ~cls
         return tuple(classes)
 
     return graph_memo(g, "barrier_classes", compute)

@@ -3,9 +3,10 @@
 Vertices are ints with no structural meaning; edges are unordered pairs kept
 as a sorted tuple so that the *index* of an edge is its stable reference
 (parallel edges occupy distinct indices).  Everything is immutable, so derived
-data and graph-level results keyed by name live on the instance and are freed
-with it; per-shore answers are recomputed, and equal but distinct instances
-share nothing.
+data and graph-level results keyed by name live on the instance; per-shore
+answers are recomputed, and equal but distinct instances share nothing.  The
+memo (`graph_memo`) lives until `drop_memo` or the instance itself frees it:
+decomposition drops each node's memo once the node is split.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class MultiGraph:
         return {}
 
     # -- basic queries ----------------------------------------------------
-
-    def has_vertex(self, v) -> bool:
-        return v in self.vertices
 
     def neighbors(self, v) -> tuple:
         if v not in self.vertices:
@@ -217,16 +215,8 @@ def removed_components(g: MultiGraph, removed: Iterable) -> ComponentReport:
     return ComponentReport(tuple(comps), odd, len(comps) - odd)
 
 
-def components(g: MultiGraph) -> tuple:
-    return removed_components(g, ()).components
-
-
 def is_connected(g: MultiGraph) -> bool:
     return g.n <= 1 or len(_component_masks(g, g.full_mask)) == 1
-
-
-def odd_component_count(g: MultiGraph, removed: Iterable) -> int:
-    return removed_components(g, removed).odd_count
 
 
 def is_bipartite(g: MultiGraph) -> bool:
@@ -409,3 +399,8 @@ def graph_memo(g: MultiGraph, key, compute):
     except KeyError:
         cache[key] = val = compute()
         return val
+
+
+def drop_memo(g: MultiGraph):
+    """Free g's matching engine and graph-level results; later queries recompute them."""
+    g.__dict__.pop("_cache", None)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .corpus import edge_splice
 from .elp import (Barrier, TwoSeparation, enumerate_nontrivial_barriers, is_barrier,
-                  two_separations)
+                  is_barrier_cut, two_separations)
 from .errors import (BadCertificate, BadSplice, NotMatchingCovered, NotTight,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
 from .graphcore import (Cut, MultiGraph, _check_shore, contract, make_cut,
@@ -338,8 +338,6 @@ def classify_tight_cut(g: MultiGraph, shore: Iterable,
                        max_family_size: int = DEFAULT_MAX_BARRIER_FAMILY,
                        budget: int = DEFAULT_SEARCH_BUDGET) -> TightCutClassification:
     """The main dichotomy: barrier-cut first, essential GS-cut second."""
-    from .elp import is_barrier_cut
-
     cut = make_cut(g, shore)
     _require_matching_covered(g)
     if cut.is_trivial:

@@ -15,12 +15,11 @@ from itertools import combinations
 import pytest
 
 from tightcuts.corpus import edge_splice, gen_h_n, gen_named
-from tightcuts.decomp import find_nontrivial_tight_cut
+from tightcuts.decomp import decompose, find_nontrivial_tight_cut
 from tightcuts.elp import (barrier_classes, enumerate_nontrivial_barriers, is_barrier,
                            is_barrier_cut, two_separations)
-from tightcuts.graphcore import build_graph, relabel_graph, removed_components
-from tightcuts.matching import (_engine, enumerate_tight_cuts, is_matching_covered, is_tight,
-                                odd_shores)
+from tightcuts.graphcore import MultiGraph, build_graph, relabel_graph, removed_components
+from tightcuts.matching import enumerate_tight_cuts, is_matching_covered, is_tight, odd_shores
 
 
 # -- oracles ---------------------------------------------------------------
@@ -100,6 +99,11 @@ PRISM = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
 def cube():
     return build_graph(8, [(i, i ^ (1 << k)) for i in range(8) for k in range(3)
                            if i < i ^ (1 << k)])
+
+
+def fresh(g):
+    """An equal graph instance with nothing memoised."""
+    return MultiGraph(g.vertices, g.edges, g.label_items)
 
 
 def splice_chain(rng, parts, target):
@@ -237,13 +241,16 @@ def test_bipartite_graphs_have_their_colour_classes(g, colours):
     assert sorted(map(sorted, class_sets(g))) == sorted(map(sorted, colours))
 
 
-@pytest.mark.parametrize("make", [lambda: gen_h_n(3), lambda: cycle(12), cube],
-                         ids=["h3", "c12", "cube"])
-def test_class_queries_leave_the_subset_memo_alone(make):
-    g = make()  # a fresh instance, so nothing is memoised yet
-    assert is_matching_covered(g)
-    memo = _engine(g).pm_memo
-    before = len(memo)
-    barrier_classes(g)
-    enumerate_nontrivial_barriers(g)
-    assert _engine(g).pm_memo is memo and len(memo) == before
+@pytest.mark.parametrize("strategy", ["exhaustive", "elp-first"])
+def test_decompose_frees_every_node_memo(chains, strategy):
+    # a node's analysis lives only while the node is split, the input's too;
+    # the tree is the one a fresh instance decomposes to with the same seed
+    for g in (gen_h_n(3), fresh(chains[0])):
+        assert is_matching_covered(g)  # the input starts with a memo
+        tree = decompose(g, strategy, 11)
+        nodes = [tree]
+        for node in nodes:
+            nodes.extend(node.children)
+        assert tree.graph is g and len(nodes) > 1
+        assert all(not node.graph._cache for node in nodes)
+        assert tree.to_json_obj() == decompose(fresh(g), strategy, 11).to_json_obj()

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import tightcuts
-from tightcuts.cli import Report, main, report_from_json_obj
-from tightcuts.corpus import gen_h_n_prime, gen_named
+from tightcuts.cli import Report, _sweep_graph, main, report_from_json_obj
+from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
 from tightcuts.formats import graph_to_json, write_graph6
 
 
@@ -205,6 +205,13 @@ def test_verify_main_theorems_to_6(capsys):
     assert f["graphs"] == 27 and f["failures"] == []
     assert obj["input_digest"] == "75c0756ae193c08a"
     assert set(f["per_theorem"]) == {"1.1", "1.2", "1.3", "props"}
+
+
+def test_theorem_1_1_past_the_barrier_enumeration_cap():
+    # gen_h_n(5) has 22 vertices, past the 20-vertex barrier enumeration cap;
+    # its maximal barriers are all singletons, so 2-separations carry 1.1
+    out = _sweep_graph(write_graph6(gen_h_n(5)), ("1.1",))
+    assert out["cuts"] == 54 and out["failures"] == []
 
 
 def test_verify_reports_known_failures(capsys, tmp_path, monkeypatch):

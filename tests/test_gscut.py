@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
-from tightcuts.elp import all_two_separation_cuts, elp_set
+from tightcuts.elp import all_two_separation_cuts, barrier_classes, elp_set
 from tightcuts.errors import (BadCertificate, BadSplice, NotTight, SearchBudgetExceeded,
                               TrivialCut)
 from tightcuts.formats import parse_graph6
@@ -342,8 +342,10 @@ def test_memo_holds_graph_level_results_only():
 def test_repeat_tightness_queries_ask_nothing_new(g):
     # enumerate_tight_cuts settles every pair inside each tight cut, so the
     # tightness checks of is_tight, elp_set and classify_tight_cut on those
-    # cuts are answered from the engine's edge-pair table alone
+    # cuts are answered from the engine's edge-pair table alone; the barrier
+    # classes, whose pair queries fill the subset memo, are asked up front
     cuts = enumerate_tight_cuts(g)
+    barrier_classes(g)
     eng = _engine(g)
     pm_entries, known = len(eng.pm_memo), list(eng.known)
     verdicts = set()
