@@ -291,9 +291,8 @@ def _sweep_graph(g6: str, theorems: tuple) -> dict:
     ntc = matching.enumerate_tight_cuts(g, nontrivial_only=True)
     out["cuts"] = len(ntc)
     if "1.1" in theorems and ntc:
-        # a maximal-barrier class of >= 2 vertices is a non-trivial barrier
-        if (all(c.bit_count() == 1 for c in elp.barrier_classes(g))
-                and not elp.two_separations(g)):
+        # a non-bicritical graph has a maximal barrier of >= 2 vertices
+        if matching.is_bicritical(g) and not elp.two_separations(g):
             fail("1.1", "non-trivial tight cut but no non-trivial barrier or 2-separation")
     if "1.2" in theorems:
         for c in ntc:

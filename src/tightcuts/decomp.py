@@ -69,7 +69,7 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
         return next(c for c in slots if c is not None)
     if strategy == "elp-first":
         candidates = [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
-        candidates += [e.cut for e in all_two_separation_cuts(g) if not e.cut.is_trivial]
+        candidates += [e.cut for e in all_two_separation_cuts(g)]  # never trivial
         seen = set()
         unique = []
         for c in candidates:
@@ -89,7 +89,6 @@ def decompose(g: MultiGraph, strategy: str = "exhaustive", seed: int = 0) -> Dec
 
     Each node's memo, the input's included, is dropped once its cut is chosen.
     """
-    _require_matching_covered(g)
     cut = find_nontrivial_tight_cut(g, strategy, seed)
     drop_memo(g)  # contraction and bipartiteness read no memo
     if cut is None:
@@ -108,11 +107,9 @@ def brick_number(tree: DecompositionTree) -> int:
 
 def is_brick(g: MultiGraph) -> bool:
     """Matching covered, no non-trivial tight cut, not bipartite."""
-    _require_matching_covered(g)
     return not enumerate_tight_cuts(g, nontrivial_only=True) and not is_bipartite(g)
 
 
 def is_brace(g: MultiGraph) -> bool:
     """Matching covered, no non-trivial tight cut, bipartite."""
-    _require_matching_covered(g)
     return not enumerate_tight_cuts(g, nontrivial_only=True) and is_bipartite(g)

@@ -7,14 +7,11 @@ grouping the components and adding either separation vertex gives the
 2-separation cuts.  ELP(C) collects the non-trivial cuts of both kinds that
 sit compatibly with a given non-trivial tight cut C.
 
-A matching covered graph is elementary, so its maximal barriers partition
-the vertex set, and u, v lie in one exactly when G - u - v has no perfect
-matching (Lovász & Plummer, *Matching Theory*, 1986, 5.2).  Every barrier
-lies inside one class of that partition (`barrier_classes`), so barrier
-search walks the subsets of one class at a time.  Candidates are tested as
-dense-index masks, counting odd components by popcount; frozensets are built
-only for the barriers and 2-separations that are found.  The class queries
-fill the graph's own memo, freed with it or by `graphcore.drop_memo`.
+Every barrier lies inside one maximal barrier, and the maximal barriers of a
+matching covered graph partition its vertex set (`matching.barrier_classes`),
+so barrier search walks the subsets of one class at a time.  Candidates are
+tested as dense-index masks, counting odd components by popcount; frozensets
+are built only for the barriers and 2-separations that are found.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ from typing import Iterable, Optional
 
 from .errors import (BadCertificate, EmptySet, GraphMismatch, GraphTooLarge, NotTight,
                      TrivialCut)
-from .graphcore import (Cut, MultiGraph, _component_masks, graph_memo, is_laminar, make_cut,
-                        removed_components)
-from .matching import _engine, _require_matching_covered, is_tight
+from .graphcore import (Cut, MultiGraph, _bits, _component_masks, graph_memo, is_laminar,
+                        make_cut, removed_components)
+from .matching import _require_matching_covered, barrier_classes, is_tight
 
 _BARRIER_ENUM_LIMIT = 20
 
@@ -88,44 +85,6 @@ def _barrier_value(g: MultiGraph, b: frozenset, maximal=None) -> Barrier:
 def _odd_count(g: MultiGraph, removed: int) -> int:
     """The number of odd components of G - removed, for a dense-index mask."""
     return sum(c.bit_count() & 1 for c in _component_masks(g, g.full_mask & ~removed))
-
-
-def _bits(mask: int) -> list:
-    """The single-bit masks of mask, lowest first."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b)
-        mask ^= b
-    return out
-
-
-def barrier_classes(g: MultiGraph) -> tuple:
-    """The maximal barriers of a matching covered graph as dense-index masks.
-
-    They partition V, and u, v share one exactly when G - u - v has no
-    perfect matching; adjacent vertices never do, since their edge lies in a
-    perfect matching.  Ordered by lowest member.  The pair queries fill the
-    graph's own subset memo.
-    """
-    _require_matching_covered(g)
-
-    def compute():
-        eng = _engine(g)
-        adj = g.adj_masks
-        classes = []
-        left = g.full_mask
-        while left:
-            ubit = left & -left
-            cls = ubit
-            for vbit in _bits(left & ~ubit & ~adj[ubit.bit_length() - 1]):
-                if not eng.pm_exists(g.full_mask & ~(ubit | vbit)):
-                    cls |= vbit
-            classes.append(cls)
-            left &= ~cls
-        return tuple(classes)
-
-    return graph_memo(g, "barrier_classes", compute)
 
 
 def enumerate_nontrivial_barriers(g: MultiGraph) -> list:
@@ -277,23 +236,19 @@ def elp_set(g: MultiGraph, cut: Cut) -> list:
     if not verdict.tight:
         raise NotTight("ELP sets are defined for tight cuts", verdict.witness)
     out = []
-    seen = set()
     for elp in barrier_cuts(g):
         b = elp.certificate.barrier.vertices
         if not (b <= cut.shore or b <= cut.complement):
             continue  # barrier must be sheltered by C
-        if elp.cut.is_trivial or elp.cut.shore_pair in seen:
+        if elp.cut.is_trivial:
             continue
         assert is_laminar(elp.cut, cut), "sheltered barrier-cut must be laminar"
-        seen.add(elp.cut.shore_pair)
         out.append(elp)
-    for elp in all_two_separation_cuts(g):
-        if elp.cut.is_trivial or elp.cut.shore_pair in seen:
-            continue
-        if not is_laminar(elp.cut, cut):
-            continue
-        seen.add(elp.cut.shore_pair)
-        out.append(elp)
+    # a 2-separation cut is never trivial: each shore holds an even component
+    # and a separation vertex
+    seen = {elp.cut.shore_pair for elp in out}
+    out += [elp for elp in all_two_separation_cuts(g)
+            if elp.cut.shore_pair not in seen and is_laminar(elp.cut, cut)]
     return out
 
 

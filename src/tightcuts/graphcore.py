@@ -202,6 +202,16 @@ def _component_masks(g: MultiGraph, keep_mask: int) -> list:
     return out
 
 
+def _bits(mask: int) -> list:
+    """The single-bit masks of mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b)
+        mask ^= b
+    return out
+
+
 def removed_components(g: MultiGraph, removed: Iterable) -> ComponentReport:
     """Components of G - S with parity counts (S may be empty or everything)."""
     rm = frozenset(removed)

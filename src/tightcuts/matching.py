@@ -16,6 +16,14 @@ query.  `enumerate_tight_cuts` walks the odd shores as dense-index
 combinations, takes each cut's edge mask as the XOR of its vertices'
 incidence masks, and builds a `Cut` only for the shores that come out tight.
 
+The engine also owns the vertex-pair question "does G - u - v have a perfect
+matching?".  `is_matching_covered` asks it once per edge, and
+`barrier_classes` once per non-adjacent pair: in a matching covered graph
+the maximal barriers partition V, and u, v share one exactly when the
+answer is no (Lovász & Plummer, *Matching Theory*, 1986, 5.2).  So a graph
+on 4 or more vertices is bicritical exactly when it is matching covered and
+every class is a single vertex, which is how `is_bicritical` decides.
+
 An all-subsets Tutte-condition checker provides the independent desk-scale
 oracle, and full enumeration of perfect matchings backs the second tightness
 route.
@@ -29,7 +37,8 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import EvenShore, GraphTooLarge, NotMatchingCovered, TooSmall
-from .graphcore import Cut, MultiGraph, graph_memo, is_connected, make_cut, removed_components
+from .graphcore import (Cut, MultiGraph, _bits, graph_memo, is_connected, make_cut,
+                        removed_components)
 
 _DP_LIMIT = 26  # past this, pm_exists asks blossom instead of the subset DP
 _TUTTE_LIMIT = 20
@@ -273,7 +282,7 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: Optional[int] = None) -> M
     return MatchingEnumeration(tuple(Matching(g, m) for m in pms), truncated)
 
 
-# -- matching covered / bicritical ----------------------------------------
+# -- matching covered, the maximal-barrier partition, bicritical ----------
 
 
 def is_matching_covered(g: MultiGraph) -> bool:
@@ -282,32 +291,51 @@ def is_matching_covered(g: MultiGraph) -> bool:
     def compute():
         if g.n < 2 or g.n % 2 == 1 or not is_connected(g):
             return False
-        if not has_perfect_matching(g):
-            return False
-        for u, v in set(g.edges):
-            if not subgraph_has_pm(g, (u, v)):
-                return False
-        return True
+        eng = _engine(g)
+        return all(eng.pm_exists(eng.full & ~((1 << i) | (1 << j)))
+                   for i, j in set(eng.edge_ends))
 
     return graph_memo(g, "matching_covered", compute)
 
 
-def is_bicritical(g: MultiGraph) -> bool:
-    """G - {u, v} has a perfect matching for every pair of distinct vertices."""
+def barrier_classes(g: MultiGraph) -> tuple:
+    """The maximal barriers of a matching covered graph as dense-index masks.
+
+    They partition V, and u, v share one exactly when G - u - v has no
+    perfect matching; adjacent vertices never do, since their edge lies in a
+    perfect matching.  Ordered by lowest member.  The pair queries fill the
+    graph's own subset memo.
+    """
+    _require_matching_covered(g)
 
     def compute():
-        if g.n < 4:
-            raise TooSmall("bicriticality needs at least 4 vertices")
-        if g.n % 2 == 1:
-            return False
-        order = g.order
-        for i, u in enumerate(order):
-            for v in order[i + 1:]:
-                if not subgraph_has_pm(g, (u, v)):
-                    return False
-        return True
+        eng = _engine(g)
+        classes = []
+        left = eng.full
+        while left:
+            ubit = left & -left
+            cls = ubit
+            for vbit in _bits(left & ~ubit & ~eng.adj[ubit.bit_length() - 1]):
+                if not eng.pm_exists(eng.full & ~(ubit | vbit)):
+                    cls |= vbit
+            classes.append(cls)
+            left &= ~cls
+        return tuple(classes)
 
-    return graph_memo(g, "bicritical", compute)
+    return graph_memo(g, "barrier_classes", compute)
+
+
+def is_bicritical(g: MultiGraph) -> bool:
+    """G - {u, v} has a perfect matching for every pair of distinct vertices.
+
+    On 4 or more vertices that holds exactly when G is matching covered and
+    every maximal barrier is a single vertex: a bicritical graph is
+    connected, and each edge uv extends through a perfect matching of
+    G - u - v.
+    """
+    if g.n < 4:
+        raise TooSmall("bicriticality needs at least 4 vertices")
+    return is_matching_covered(g) and all(c.bit_count() == 1 for c in barrier_classes(g))
 
 
 # -- tightness -------------------------------------------------------------

@@ -16,10 +16,11 @@ import pytest
 
 from tightcuts.corpus import edge_splice, gen_h_n, gen_named
 from tightcuts.decomp import decompose, find_nontrivial_tight_cut
-from tightcuts.elp import (barrier_classes, enumerate_nontrivial_barriers, is_barrier,
-                           is_barrier_cut, two_separations)
+from tightcuts.elp import (enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
+                           two_separations)
 from tightcuts.graphcore import MultiGraph, build_graph, relabel_graph, removed_components
-from tightcuts.matching import enumerate_tight_cuts, is_matching_covered, is_tight, odd_shores
+from tightcuts.matching import (barrier_classes, enumerate_tight_cuts, is_matching_covered,
+                                is_tight, odd_shores)
 
 
 # -- oracles ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
-from tightcuts.elp import all_two_separation_cuts, barrier_classes, elp_set
+from tightcuts.elp import all_two_separation_cuts, elp_set
 from tightcuts.errors import (BadCertificate, BadSplice, NotTight, SearchBudgetExceeded,
                               TrivialCut)
 from tightcuts.formats import parse_graph6
@@ -14,7 +14,7 @@ from tightcuts.gscut import (associated_family, barrier_cut_certificate_to_json_
                              gs_certificate_to_json_obj, is_essential_gs_cut, is_gs_cut,
                              two_separation_cut_certificate_to_json_obj,
                              validate_certificate_json_obj)
-from tightcuts.matching import _engine, enumerate_tight_cuts, is_tight, odd_shores
+from tightcuts.matching import _engine, barrier_classes, enumerate_tight_cuts, is_tight, odd_shores
 
 
 def labelled(g, vertices):
@@ -313,9 +313,9 @@ def test_tampered_certificates_raise_bad_certificate(case, tamper):
 # -- memo ------------------------------------------------------------------
 
 
-GRAPH_LEVEL_MEMO_KEYS = {"engine", "matching_covered", "bicritical", "two_separations",
-                         "barrier_classes", "nontrivial_barriers", "barrier_cuts",
-                         "all_two_separation_cuts", ("tight_cuts", False), ("tight_cuts", True)}
+GRAPH_LEVEL_MEMO_KEYS = {"engine", "matching_covered", "two_separations", "barrier_classes",
+                         "nontrivial_barriers", "barrier_cuts", "all_two_separation_cuts",
+                         ("tight_cuts", False), ("tight_cuts", True)}
 
 
 def test_memo_holds_graph_level_results_only():

@@ -1,7 +1,9 @@
-"""Import hygiene: every name a library module imports is used in it.
+"""Import hygiene: every name a library module imports is used in it, and
+only `matching` names its private perfect-matching engine.
 
 No linter ships with the project, so this walks each module's AST.  The
-package `__init__` is left out, since its imports are the public re-exports.
+package `__init__` is left out of the unused-import scan, since its imports
+are the public re-exports.
 """
 
 import ast
@@ -11,8 +13,9 @@ import pytest
 
 import tightcuts
 
-MODULES = sorted(p for p in Path(tightcuts.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(tightcuts.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ENGINE_NAMES = {"_engine", "pm_exists"}
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +40,27 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_name():
     src = "import os\nfrom typing import Iterable, Optional\nx: Optional[int] = os.sep\n"
     assert unused_imports(src) == [(2, "Iterable")]
+
+
+def engine_names(source: str) -> list:
+    """The engine names a module imports, reads or calls as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & ENGINE_NAMES)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "matching.py"],
+                         ids=lambda p: p.name)
+def test_only_matching_names_the_engine(path):
+    assert engine_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_engine_scan_flags_imports_and_attributes():
+    src = "from .matching import _engine\nok = _engine(g).pm_exists(0)\n"
+    assert engine_names(src) == ["_engine", "pm_exists"]

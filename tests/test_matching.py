@@ -1,12 +1,13 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import to_networkx
-from tightcuts.corpus import gen_h_n, gen_named
+from conftest import nx_is_matching_covered, to_networkx
+from tightcuts.corpus import connected_graphs, gen_h_n, gen_named
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
 from tightcuts.graphcore import build_graph, cut_edge_indices, make_cut
@@ -119,6 +120,27 @@ def test_is_bicritical():
     assert not is_bicritical(gen_named("k33"))
     with pytest.raises(TooSmall):
         is_bicritical(build_graph(2, [(0, 1)]))
+
+
+def oracle_is_bicritical(g):
+    """The definition: G - u - v has a perfect matching for every pair."""
+    return all(subgraph_has_pm(g, pair) for pair in combinations(g.order, 2))
+
+
+def test_is_bicritical_matches_the_all_pairs_oracle(corpus8, sample10):
+    # is_bicritical reads the maximal-barrier partition; every connected graph
+    # on 4-7 vertices brings the odd and the non-matching-covered ones
+    graphs = [g for n in range(4, 8) for g in connected_graphs(n)] + corpus8 + sample10
+    verdicts = [is_bicritical(g) for g in graphs]
+    assert verdicts == [oracle_is_bicritical(g) for g in graphs]
+    assert 0 < sum(verdicts) < len(graphs)
+    assert all("bicritical" not in g._cache for g in graphs)
+
+
+def test_is_matching_covered_matches_networkx():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            assert is_matching_covered(g) == nx_is_matching_covered(nx.Graph(to_networkx(g)))
 
 
 # -- tightness -------------------------------------------------------------
