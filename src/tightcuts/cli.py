@@ -2,7 +2,8 @@
 
 Human summaries go to stdout; --json switches to a machine report that
 round-trips losslessly.  Exit codes: 0 success, 2 parse/usage, 3 bad cut,
-4 invariance violation, 5 counterexample candidate.
+4 invariance violation, 5 counterexample candidate, 6 size cap or search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Optional
 
 from . import decomp, elp, gscut, matching
 from .corpus import CorpusStream, edge_splice, gen_named
-from .errors import (BadParameter, BadShore, BadVertex, EvenShore, NeedExternalCorpus,
-                     NotMatchingCovered, NotTight, ParseError, TightcutsError, TrivialCut)
+from .errors import (BadParameter, BadShore, BadVertex, EvenShore, GraphTooLarge,
+                     NeedExternalCorpus, NotMatchingCovered, NotTight, ParseError,
+                     SearchBudgetExceeded, TightcutsError, TrivialCut)
 from .formats import parse_graph6, parse_graph_json, read_graph6_lines, write_graph6
 from .graphcore import MultiGraph, make_cut, relabel_graph
 
@@ -32,6 +34,7 @@ EXIT_PARSE = 2
 EXIT_BAD_CUT = 3
 EXIT_INVARIANCE = 4
 EXIT_COUNTEREXAMPLE = 5
+EXIT_LIMIT = 6
 
 ALL_THEOREMS = ("1.1", "1.2", "1.3", "3.3", "props")
 
@@ -489,6 +492,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (GraphTooLarge, SearchBudgetExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except TightcutsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CUT

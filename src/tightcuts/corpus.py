@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import BadParameter, BadSplice, NeedExternalCorpus, UnknownGraph
 from .formats import read_graph6_file
-from .graphcore import MultiGraph, build_graph, graph_from, removed_components
+from .graphcore import MultiGraph, _bits, build_graph, graph_from, removed_components
 from .matching import is_matching_covered
 
 
@@ -130,56 +130,180 @@ def gen_named(name: str) -> MultiGraph:
 
 
 # -- isomorphism-free enumeration -----------------------------------------
+#
+# Candidates are told apart by a canonical code from individualisation-
+# refinement on adjacency bitmasks (McKay & Piperno, "Practical graph
+# isomorphism, II", JSC 60, 2014).  Every choice in the search tree depends on
+# the graph only up to isomorphism, so the largest leaf code is the same for
+# isomorphic graphs, and a leaf code spells out the whole relabelled graph.
 
 
-def _to_networkx(g: MultiGraph):
-    import networkx as nx
+def _refine(adj: list, cells: list, splitters: list) -> None:
+    """Split the ordered partition `cells` (vertex masks) in place until it
+    is equitable, starting from the given splitter masks.
 
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(set(g.edges))
-    return h
+    A cell splits by how many neighbours its vertices have in a splitter, and
+    the parts take its place in increasing count order.
+    """
+    n = len(adj)
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                parts = {}
+                rest = c
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    k = (adj[b.bit_length() - 1] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | b
+                if len(parts) > 1:
+                    split = [parts[k] for k in sorted(parts)]
+                    splitters.extend(split)
+                    out.extend(split)
+                    continue
+            out.append(c)
+        cells[:] = out
+
+
+def _leaf_code(adj: list, order: list) -> int:
+    """The adjacency matrix relabelled by position in order, row by row."""
+    n = len(order)
+    moved = {1 << v: 1 << i for i, v in enumerate(order)}
+    code = 0
+    for v in order:
+        row = 0
+        a = adj[v]
+        while a:
+            b = a & -a
+            a ^= b
+            row |= moved[b]
+        code = code << n | row
+    return code
+
+
+def _canonical_form(adj: list) -> tuple:
+    """(code, generators) of the graph on vertices 0..n-1 with neighbour masks adj.
+
+    code is the largest leaf code of the search tree: isomorphic graphs, and
+    only they, share it.  A leaf with the first leaf's code yields an
+    automorphism (a tuple v -> image), and the subtree it was found in is the
+    image of one already searched.  On the first path, a vertex that such an
+    automorphism maps onto a smaller one in the same cell is not branched on.
+    The automorphisms found generate Aut(G).
+    """
+    n = len(adj)
+    orbit = list(range(n))  # union-find; each orbit is rooted at its least vertex
+    gens = []
+    first_order = first_code = best = None
+
+    def root(v):
+        while orbit[v] != v:
+            v = orbit[v]
+        return v
+
+    def visit(cells, on_first_path):
+        nonlocal first_order, first_code, best
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            code = _leaf_code(adj, order)
+            if first_order is None:
+                first_order = order
+                first_code = best = code
+            elif code == first_code:
+                gamma = [0] * n
+                for a, b in zip(first_order, order):
+                    gamma[a] = b
+                    ra, rb = root(a), root(b)
+                    orbit[max(ra, rb)] = min(ra, rb)
+                gens.append(tuple(gamma))
+                return True
+            elif code > best:
+                best = code
+            return False
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        target = cells[t]
+        for k, b in enumerate(_bits(target)):
+            v = b.bit_length() - 1
+            if on_first_path and k and root(v) != v:
+                continue
+            child = cells[:t] + [b, target ^ b] + cells[t + 1:]
+            _refine(adj, child, [b])
+            if visit(child, on_first_path and not k) and not on_first_path:
+                return True
+        return False
+
+    cells = [(1 << n) - 1]
+    _refine(adj, cells, [cells[0]])
+    visit(cells, True)
+    return best, gens
+
+
+def _orbit_leaders(gens: list, k: int) -> list:
+    """Per subset mask of range(k), the least mask in its orbit under the
+    group that gens generate."""
+    leader = [-1] * (1 << k)
+    for s in range(1 << k):  # an orbit is first reached at its least mask
+        if leader[s] < 0:
+            leader[s] = s
+            stack = [s]
+            while stack:
+                t = stack.pop()
+                for g in gens:
+                    u = sum(1 << g[v] for v in range(k) if t >> v & 1)
+                    if leader[u] < 0:
+                        leader[u] = s
+                        stack.append(u)
+    return leader
 
 
 _LEVELS: dict = {}  # n -> the edge tuples of its classes, never analysed graphs
 
 
+def _level(n: int) -> tuple:
+    """Edge tuples of the n-vertex classes in enumeration order (memoised)."""
+    if n in _LEVELS:
+        return _LEVELS[n]
+    if n == 1:
+        kept = [()]
+    else:
+        kept = []
+        seen = set()
+        new = n - 1
+        for base_edges in _level(n - 1):
+            base = list(build_graph(new, base_edges).adj_masks)
+            _, gens = _canonical_form(base)
+            leader = _orbit_leaders(gens, new)
+            for nbhd in range(1, 1 << new):
+                if leader[nbhd] != nbhd:
+                    continue  # an earlier neighbourhood gives the same graph
+                adj = [a | (nbhd >> i & 1) << new for i, a in enumerate(base)]
+                adj.append(nbhd)
+                code, _ = _canonical_form(adj)
+                if code not in seen:
+                    seen.add(code)
+                    kept.append(tuple(sorted(base_edges + tuple(
+                        (i, new) for i in range(new) if nbhd >> i & 1))))
+    _LEVELS[n] = tuple(kept)
+    return _LEVELS[n]
+
+
 def connected_graphs(n: int) -> list:
     """All connected simple graphs on n vertices, one per isomorphism class.
 
-    Built by attaching a new vertex with every nonempty neighborhood to each
-    (n-1)-vertex class member, bucketing candidates by a structural hash and
-    confirming with an exact isomorphism test.  Deterministic order.  Later
-    calls rebuild fresh instances from the kept edges, so no memo outlives them.
+    Built by attaching a new vertex with every nonempty neighbourhood to each
+    (n-1)-vertex class member in order, keeping the first candidate of each
+    canonical code.  A neighbourhood that an automorphism of the base maps
+    onto a smaller one is skipped, since the smaller one came first.
+    Deterministic order.  Every call builds fresh instances from the kept
+    edges, so no memo outlives them.
     """
     if n < 1:
         raise BadParameter("n must be >= 1")
     if n > 8:
         raise NeedExternalCorpus("built-in enumeration stops at 8 vertices")
-    if n in _LEVELS:
-        return [build_graph(n, edges) for edges in _LEVELS[n]]
-    import networkx as nx
-
-    if n == 1:
-        out = [build_graph(1, [])]
-    else:
-        out = []
-        buckets = {}
-        for base in connected_graphs(n - 1):
-            base_edges = list(base.edges)
-            new = n - 1
-            for nbhd in range(1, 1 << (n - 1)):
-                edges = base_edges + [(i, new) for i in range(n - 1) if (nbhd >> i) & 1]
-                cand = build_graph(n, edges)
-                cnx = _to_networkx(cand)
-                key = (cand.m, nx.weisfeiler_lehman_graph_hash(cnx, iterations=3))
-                bucket = buckets.setdefault(key, [])
-                if any(nx.is_isomorphic(cnx, known) for _, known in bucket):
-                    continue
-                bucket.append((cand, cnx))
-                out.append(cand)
-    _LEVELS[n] = tuple(g.edges for g in out)
-    return out
+    return [build_graph(n, edges) for edges in _level(n)]
 
 
 class CorpusStream:

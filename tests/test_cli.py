@@ -214,6 +214,16 @@ def test_theorem_1_1_past_the_barrier_enumeration_cap():
     assert out["cuts"] == 54 and out["failures"] == []
 
 
+def test_verify_past_a_size_cap_exits_6(capsys, g6_file):
+    # theorem 1.2 enumerates barriers, which stops at 20 vertices; gen_h_n(5)
+    # has 22 and comes after the built-in corpus up to 8 vertices
+    path = g6_file("h5.g6", gen_h_n(5))
+    code = main(["verify", "--max-n", "22", "--input", path, "--theorems", "1.2",
+                 "--jobs", "1"])
+    assert code == 6
+    assert "capped at 20 vertices" in capsys.readouterr().err
+
+
 def test_verify_reports_known_failures(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, obj = run_json(capsys, ["verify", "--json", "--max-n", "6",

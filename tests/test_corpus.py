@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from conftest import nx_is_matching_covered, to_networkx
-from tightcuts.corpus import (CorpusStream, connected_graphs, edge_splice,
+from tightcuts.corpus import (CorpusStream, _canonical_form, connected_graphs, edge_splice,
                               enumerate_matching_covered, gen_h_n, gen_h_n_prime,
                               gen_named)
 from tightcuts.elp import two_separations
@@ -158,6 +160,69 @@ def test_enumeration_against_brute_force(n, classes):
         if not any(nx.is_isomorphic(gnx, r) for r in reps):
             reps.append(gnx)
     assert len(reps) == classes == len(connected_graphs(n))
+
+
+def test_enumeration_covers_the_graph_atlas():
+    # independent oracle: the atlas of all graphs up to 7 vertices ships with
+    # networkx; each connected one must match exactly one enumerated class
+    def key(h):
+        return h.number_of_nodes(), tuple(sorted((d, nx.triangles(h, v)) for v, d in h.degree()))
+
+    buckets = {}
+    for n in range(1, 8):
+        for k, g in enumerate(connected_graphs(n)):
+            h = nx.Graph(to_networkx(g))
+            buckets.setdefault(key(h), []).append(((n, k), h))
+    matched = set()
+    for a in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(a):
+            hits = [nk for nk, h in buckets[key(a)] if nx.is_isomorphic(a, h)]
+            assert len(hits) == 1
+            matched.add(hits[0])
+    assert len(matched) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+
+def automorphism_count(gens, n):
+    seen = {tuple(range(n))}
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+def test_canonical_form_is_invariant_and_finds_the_group():
+    # networkx's VF2 counts the automorphisms independently
+    rng = random.Random(14)
+    for g in connected_graphs(6):
+        code, gens = _canonical_form(list(g.adj_masks))
+        perm = list(range(6))
+        rng.shuffle(perm)
+        moved = relabel_graph(g, dict(enumerate(perm)))
+        assert _canonical_form(list(moved.adj_masks))[0] == code
+        h = simple_nx(g)
+        aut = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert automorphism_count(gens, 6) == aut
+
+
+def g6_digest(graphs):
+    return hashlib.sha256("".join(write_graph6(g) + "\n" for g in graphs).encode()).hexdigest()
+
+
+def test_class_list_is_pinned_at_7():
+    assert g6_digest(connected_graphs(7)) == (
+        "3281f929c85ff3da4ca376f05d6effb355736260f6549a0283f9dffd55e00bdb")
+
+
+def test_class_list_is_pinned_at_8(corpus8):
+    # the level is cached by the corpus8 fixture; the digest equals
+    # classes8_sha256 in perfbench/data/expected.json
+    assert g6_digest(connected_graphs(8)) == (
+        "95a2c004264a5ff00ba99add1aa55ba82f9834f211f62adf518b5ac6f3d1de3b")
 
 
 def test_level_cache_keeps_no_analysed_graph():

@@ -1,5 +1,6 @@
-"""Import hygiene: every name a library module imports is used in it, and
-only `matching` names its private perfect-matching engine.
+"""Import hygiene: every name a library module imports is used in it, only
+`matching` names its private perfect-matching engine, and `corpus` does not
+touch networkx.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -64,3 +65,40 @@ def test_only_matching_names_the_engine(path):
 def test_engine_scan_flags_imports_and_attributes():
     src = "from .matching import _engine\nok = _engine(g).pm_exists(0)\n"
     assert engine_names(src) == ["_engine", "pm_exists"]
+
+
+def names_networkx(source: str) -> bool:
+    """Whether a module imports networkx or names it in code."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(name.split(".")[0] == "networkx" for name in names):
+            return True
+    return False
+
+
+def test_corpus_does_not_use_networkx():
+    source = Path(tightcuts.__file__).parent.joinpath("corpus.py").read_text(encoding="utf-8")
+    assert not names_networkx(source)
+
+
+@pytest.mark.parametrize("src,found", [
+    ("import networkx as nx\n", True),
+    ("from networkx.algorithms import isomorphism\n", True),
+    ("def f():\n    import networkx\n", True),
+    ("m = importlib.import_module('networkx')\n", True),
+    ('"""Once bucketed with networkx hashes."""\nx = 1\n', False),
+    ("nx = 1\n", False),
+])
+def test_networkx_scan(src, found):
+    assert names_networkx(src) is found
