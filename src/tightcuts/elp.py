@@ -16,7 +16,7 @@ are built only for the barriers and 2-separations that are found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -44,6 +44,8 @@ class Barrier:
 class TwoSeparation:
     pair: frozenset
     components: tuple  # all components of G - pair, each of even order
+    pair_mask: int = field(compare=False)  # the same sets as dense-index masks
+    component_masks: tuple = field(compare=False)
 
     def __repr__(self):
         return f"TwoSeparation({sorted(self.pair)!r})"
@@ -114,22 +116,27 @@ def enumerate_nontrivial_barriers(g: MultiGraph) -> list:
     return list(graph_memo(g, "nontrivial_barriers", compute))
 
 
+def _cuts_of_barriers(g: MultiGraph, barriers: Iterable) -> list:
+    """The cuts bounding odd components of the barriers, each with its first witness."""
+    out = []
+    seen = set()
+    for barrier in barriers:
+        for comp in barrier.odd_components:
+            if len(comp) % 2 == 0:
+                continue
+            cut = make_cut(g, comp)
+            if cut.shore_pair in seen:
+                continue
+            seen.add(cut.shore_pair)
+            out.append(ElpCut(cut, "barrier-cut", BarrierCutWitness(barrier, comp)))
+    return out
+
+
 def barrier_cuts(g: MultiGraph) -> list:
     """Every cut bounding an odd component of a non-trivial barrier, deduplicated."""
 
     def compute():
-        out = []
-        seen = set()
-        for barrier in enumerate_nontrivial_barriers(g):
-            for comp in barrier.odd_components:
-                if len(comp) % 2 == 0:
-                    continue
-                cut = make_cut(g, comp)
-                if cut.shore_pair in seen:
-                    continue
-                seen.add(cut.shore_pair)
-                out.append(ElpCut(cut, "barrier-cut", BarrierCutWitness(barrier, comp)))
-        return tuple(out)
+        return tuple(_cuts_of_barriers(g, enumerate_nontrivial_barriers(g)))
 
     return list(graph_memo(g, "barrier_cuts", compute))
 
@@ -172,10 +179,13 @@ def two_separations(g: MultiGraph) -> list:
         out = []
         order = g.order
         for i, j in combinations(range(g.n), 2):
-            comps = _component_masks(g, g.full_mask & ~((1 << i) | (1 << j)))
+            pair = (1 << i) | (1 << j)
+            comps = _component_masks(g, g.full_mask & ~pair)
             if len(comps) >= 2 and not any(c.bit_count() & 1 for c in comps):
-                pair = (order[i], order[j])
-                out.append(TwoSeparation(frozenset(pair), removed_components(g, pair).components))
+                # components come out by lowest member, as removed_components orders them
+                out.append(TwoSeparation(frozenset((order[i], order[j])),
+                                         tuple(g.from_mask(c) for c in comps),
+                                         pair, tuple(comps)))
         return tuple(out)
 
     return list(graph_memo(g, "two_separations", compute))
@@ -235,15 +245,13 @@ def elp_set(g: MultiGraph, cut: Cut) -> list:
     verdict = is_tight(g, cut.shore)
     if not verdict.tight:
         raise NotTight("ELP sets are defined for tight cuts", verdict.witness)
-    out = []
-    for elp in barrier_cuts(g):
-        b = elp.certificate.barrier.vertices
-        if not (b <= cut.shore or b <= cut.complement):
-            continue  # barrier must be sheltered by C
-        if elp.cut.is_trivial:
-            continue
-        assert is_laminar(elp.cut, cut), "sheltered barrier-cut must be laminar"
-        out.append(elp)
+    # a cut may bound odd components of several barriers and is a member when
+    # any of them is sheltered, so the cuts come from the sheltered barriers
+    # themselves, not from barrier_cuts' one witness per cut
+    sheltered = [bar for bar in enumerate_nontrivial_barriers(g)
+                 if bar.vertices <= cut.shore or bar.vertices <= cut.complement]
+    out = [elp for elp in _cuts_of_barriers(g, sheltered) if not elp.cut.is_trivial]
+    assert all(is_laminar(elp.cut, cut) for elp in out), "sheltered barrier-cut must be laminar"
     # a 2-separation cut is never trivial: each shore holds an even component
     # and a separation vertex
     seen = {elp.cut.shore_pair for elp in out}

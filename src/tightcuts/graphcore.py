@@ -281,10 +281,6 @@ class Cut:
         return _crossing_edge_indices(self.graph, self.shore)  # make_cut checked the shore
 
     @cached_property
-    def edge_pairs(self) -> tuple:
-        return tuple(self.graph.edges[i] for i in self.edge_indices)
-
-    @cached_property
     def is_trivial(self) -> bool:
         return len(self.shore) == 1 or len(self.complement) == 1
 

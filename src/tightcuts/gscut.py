@@ -21,7 +21,7 @@ from .elp import (Barrier, TwoSeparation, enumerate_nontrivial_barriers, is_barr
                   is_barrier_cut, two_separations)
 from .errors import (BadCertificate, BadSplice, NotMatchingCovered, NotTight,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
-from .graphcore import (Cut, MultiGraph, _check_shore, contract, make_cut,
+from .graphcore import (Cut, MultiGraph, _check_shore, _component_masks, contract, make_cut,
                         removed_components)
 from .matching import _require_matching_covered, is_tight
 
@@ -29,10 +29,14 @@ DEFAULT_MAX_BARRIER_FAMILY = 4
 DEFAULT_SEARCH_BUDGET = 20000
 
 
+def _family(g: MultiGraph, x_mask: int) -> list:
+    """`associated_family` of a shore given as a dense-index mask."""
+    return [sep for sep in two_separations(g) if (sep.pair_mask & x_mask).bit_count() == 1]
+
+
 def associated_family(g: MultiGraph, shore: Iterable) -> list:
     """The 2-separations meeting the shore in exactly one vertex."""
-    s = _check_shore(g, shore)
-    return [sep for sep in two_separations(g) if len(sep.pair & s) == 1]
+    return _family(g, g.to_mask(_check_shore(g, shore)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ def _family_chain(family: list) -> Optional[dict]:
     k = len(family)
     adjacent = {i: [] for i in range(k)}
     for i, j in combinations(range(k), 2):
-        if len(family[i].pair & family[j].pair) == 1:
+        if family[i].pair_mask & family[j].pair_mask:
             adjacent[i].append(j)
             adjacent[j].append(i)
     paths = {}
@@ -101,65 +105,48 @@ def _family_chain(family: list) -> Optional[dict]:
     return paths
 
 
-def _shore_of(vset: frozenset, x: frozenset, xbar: frozenset) -> Optional[frozenset]:
-    """Which shore wholly contains the set, if either does."""
-    if vset <= x:
-        return x
-    if vset <= xbar:
-        return xbar
-    return None
+def _conditions_ok(g: MultiGraph, x_mask: int, family: list) -> bool:
+    """Edge coverage, the pair condition and the tail condition, on masks.
 
-
-def _condition_pair_ok(g: MultiGraph, x: frozenset, f: TwoSeparation, f2: TwoSeparation) -> bool:
-    """Component/shore compatibility for an adjacent ordered family pair.
-
-    For nested components Y of G-F and Y' of G-F2, the leftover induced piece
-    between them must have its odd components on the shore away from the
-    common vertex and each even component on a single shore.
+    Coverage: every cut edge has an end in some family member.  Pair
+    condition, for members F, F2 sharing a vertex w: for nested components
+    Y < Y2 of G - F and G - F2, the piece of Y2 outside Y + F has its odd
+    components on the shore away from w and each even one inside one shore.
+    Tail condition: a component Y of G - F whose hull Y + F holds no other
+    member lies inside one shore.
     """
-    common = f.pair & f2.pair
-    assert len(common) == 1
-    (w,) = common
-    xbar = g.vertices - x
-    w_shore = x if w in x else xbar
-    opposite = xbar if w_shore is x else x
-    for y in f.components:
-        for y2 in f2.components:
-            if not (y < y2):
-                continue
-            between = y2 - (y | f.pair)
-            if not between:
-                continue  # empty leftover imposes nothing
-            for comp in removed_components(g, g.vertices - between).components:
-                if len(comp) % 2 == 1:
-                    if not comp <= opposite:
-                        return False
-                else:
-                    if _shore_of(comp, x, xbar) is None:
-                        return False
-    return True
+    xbar_mask = g.full_mask & ~x_mask
 
+    def one_shore(c):
+        return not (c & x_mask and c & xbar_mask)
 
-def _condition_tail_ok(g: MultiGraph, x: frozenset, family: list) -> bool:
-    """Components seeing no other family member must sit inside one shore."""
-    xbar = g.vertices - x
-    members = [sep.pair for sep in family]
-    for f in family:
-        closure_others = [p for p in members if p != f.pair]
-        for y in f.components:
-            hull = y | f.pair
-            if any(p <= hull for p in closure_others):
-                continue
-            if _shore_of(y, x, xbar) is None:
-                return False
-    return True
-
-
-def _edge_coverage_ok(g: MultiGraph, x: frozenset, family: list) -> bool:
-    touched = frozenset().union(*(sep.pair for sep in family)) if family else frozenset()
-    for u, v in ((g.edges[i]) for i in make_cut(g, x).edge_indices):
-        if u not in touched and v not in touched:
+    touched = 0
+    for sep in family:
+        touched |= sep.pair_mask
+    adj = g.adj_masks
+    for i in range(g.n):
+        if (x_mask >> i) & 1 and not (touched >> i) & 1 and adj[i] & xbar_mask & ~touched:
             return False
+    for f, f2 in combinations(family, 2):
+        common = f.pair_mask & f2.pair_mask
+        if not common:
+            continue
+        opposite = xbar_mask if common & x_mask else x_mask
+        for a, b in ((f, f2), (f2, f)):
+            for y in a.component_masks:
+                for y2 in b.component_masks:
+                    if y == y2 or y & ~y2:
+                        continue  # Y must be a proper subset of Y2
+                    for c in _component_masks(g, y2 & ~(y | a.pair_mask)):
+                        odd = c.bit_count() & 1
+                        if (odd and c & ~opposite) or (not odd and not one_shore(c)):
+                            return False
+    for f in family:
+        others = [sep.pair_mask for sep in family if sep is not f]
+        for y in f.component_masks:
+            hull = y | f.pair_mask
+            if not one_shore(y) and not any(p & ~hull == 0 for p in others):
+                return False
     return True
 
 
@@ -189,48 +176,49 @@ def is_gs_cut(g: MultiGraph, shore: Iterable) -> Optional[GSCertificate]:
     """Full definitional check; returns a certificate or None."""
     x = _check_shore(g, shore)
     _require_matching_covered(g)
-    family = associated_family(g, x)
-    if not family:
-        return None
-    if not _edge_coverage_ok(g, x, family):
+    x_mask = g.to_mask(x)
+    family = _family(g, x_mask)
+    if not family or not _conditions_ok(g, x_mask, family):
         return None
     chain = _family_chain(family)
     if chain is None:
         return None
-    for f, f2 in combinations(family, 2):
-        if len(f.pair & f2.pair) != 1:
-            continue
-        if not _condition_pair_ok(g, x, f, f2):
-            return None
-        if not _condition_pair_ok(g, x, f2, f):
-            return None
-    if not _condition_tail_ok(g, x, family):
-        return None
-    fam = tuple(family)
-    ends = end_2_separations(g, family)
-    end_idx = tuple(i for i, sep in enumerate(family)
-                    if any(e.separation == sep for e in ends))
+    ends = {e.separation for e in end_2_separations(g, family)}
+    end_idx = tuple(i for i, sep in enumerate(family) if sep in ends)
     witnesses = tuple((i, j, chain[(i, j)]) for (i, j) in sorted(chain))
-    return GSCertificate(x, fam, witnesses, end_idx)
+    return GSCertificate(x, tuple(family), witnesses, end_idx)
 
 
 # -- essential GS-cuts -----------------------------------------------------
 
 
-def _barrier_region(g: MultiGraph, barrier: Barrier, x: frozenset) -> Optional[frozenset]:
+def _barrier_region(g: MultiGraph, barrier: frozenset, x: frozenset) -> Optional[frozenset]:
     """Everything on the barrier's side of the graph: the complement of the
     component of G - B holding the far shore (None if that shore is split)."""
-    b = barrier.vertices
-    far = (g.vertices - x) if b <= x else x
-    holder = None
-    for comp in removed_components(g, b).components:
-        if comp & far:
-            if holder is not None:
-                return None
-            holder = comp
-    if holder is None or not far <= holder:
+    b = g.to_mask(barrier)
+    x_mask = g.to_mask(x)
+    far = g.full_mask & ~x_mask if b & x_mask == b else x_mask
+    holders = [c for c in _component_masks(g, g.full_mask & ~b) if c & far]
+    if len(holders) != 1 or far & ~holders[0]:
         return None
-    return g.vertices - holder
+    return g.from_mask(g.full_mask & ~holders[0])
+
+
+def _replay_contractions(g: MultiGraph, x: frozenset, regions: list, ids: list) -> tuple:
+    """Contract each barrier region to its id in turn.
+
+    Returns the contracted graph and the image of the shore x.  A region lies
+    inside the shore that holds its barrier, so one inside x is replaced by
+    its id there.
+    """
+    current = g
+    image = set(x)
+    for region, new_id in zip(regions, ids):
+        current = contract(current, region, new_id=new_id)
+        if region <= x:
+            image -= region
+            image.add(new_id)
+    return current, frozenset(image)
 
 
 def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
@@ -277,7 +265,7 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
             ordered = sorted(combo, key=lambda bar: sorted(bar.vertices))
             regions = []
             for bar in ordered:
-                region = _barrier_region(g, bar, x)
+                region = _barrier_region(g, bar.vertices, x)
                 if region is None:
                     transcript.append(
                         f"family {[sorted(b.vertices) for b in ordered]}: far shore split "
@@ -291,18 +279,9 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
                 transcript.append(
                     f"family {[sorted(b.vertices) for b in ordered]}: regions overlap")
                 continue
-            current = g
-            b_ids = []
-            ximg = set(x)
-            ok = True
-            for bar, region in zip(ordered, regions):
-                new_id = max(current.vertices) + 1
-                current = contract(current, region, new_id=new_id)
-                b_ids.append(new_id)
-                if bar.vertices <= x:
-                    ximg -= region
-                    ximg.add(new_id)
-            ximg = frozenset(ximg)
+            # each fresh id exceeds every vertex before it: max(V)+1, ..., max(V)+size
+            b_ids = list(range(max(g.vertices) + 1, max(g.vertices) + 1 + size))
+            current, ximg = _replay_contractions(g, x, regions, b_ids)
             try:
                 inner = is_gs_cut(current, ximg)
             except NotMatchingCovered:
@@ -506,25 +485,20 @@ def _validate_certificate(g: MultiGraph, obj: dict) -> bool:
         for a, b in combinations(range(len(barriers)), 2):
             if barriers[a] & barriers[b] or regions[a] & regions[b]:
                 raise BadCertificate("barriers or regions overlap")
-        current = g
-        ximg = set(shore)
-        for b, region, new_id in zip(barriers, regions, ids):
+        for b, region in zip(barriers, regions):
             if len(b) < 2 or not (b <= shore or b <= xbar):
                 raise BadCertificate("barrier is trivial or not sheltered")
             if not is_barrier(g, b):
                 raise BadCertificate("recorded set is not a barrier")
-            if _barrier_region(g, Barrier(b, ()), shore) != region:
+            if _barrier_region(g, b, shore) != region:
                 raise BadCertificate("region does not match the barrier's side")
-            current = contract(current, region, new_id=new_id)
-            if b <= shore:
-                ximg -= region
-                ximg.add(new_id)
-        if frozenset(ximg) != frozenset(obj["shore_image"]):
+        current, ximg = _replay_contractions(g, shore, regions, ids)
+        if ximg != frozenset(obj["shore_image"]):
             raise BadCertificate("shore image does not match the contraction")
         inner = dict(obj["inner"])
         if inner.get("kind") != "gs":
             raise BadCertificate("inner certificate is not a GS certificate")
-        if frozenset(inner.get("shore", ())) != frozenset(ximg):
+        if frozenset(inner.get("shore", ())) != ximg:
             raise BadCertificate("inner certificate names a different shore")
         _validate_certificate(current, inner)
         family = [frozenset(p) for p in inner["family"]]

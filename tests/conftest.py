@@ -1,4 +1,5 @@
-"""Shared fixtures: small-graph corpora and the seeded 10-vertex sample.
+"""Shared fixtures: small-graph corpora, the seeded 10-vertex sample and
+seeded splice chains.
 
 The corpora feed both the module tests and the acceptance suite.  The
 10-vertex sample is selected by an independent networkx-based
@@ -11,13 +12,14 @@ import random
 import networkx as nx
 import pytest
 
-from tightcuts.corpus import connected_graphs
+from tightcuts.corpus import connected_graphs, edge_splice
 from tightcuts.formats import write_graph6
-from tightcuts.graphcore import build_graph
+from tightcuts.graphcore import build_graph, relabel_graph
 from tightcuts.matching import is_matching_covered
 
 SAMPLE10_SEED = 20260822
 SAMPLE10_COUNT = 500
+CHAINS12_SEED = 20261019
 
 
 def to_networkx(g):
@@ -81,3 +83,30 @@ def sample10_path(tmp_path_factory, sample10):
     path = tmp_path_factory.mktemp("corpus") / "sample10.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in sample10))
     return path
+
+
+def splice_chain(rng, parts, target):
+    """Splice seeded parts along seeded edges until the chain has target vertices."""
+    g = rng.choice(parts)
+    while g.n < target:
+        part = rng.choice([p for p in parts if p.n - 2 <= target - g.n])
+        x, y = rng.choice(g.edges)
+        a, b = rng.choice(part.edges)
+        fresh = iter(range(max(g.vertices) + 1, max(g.vertices) + part.n))
+        mapping = {v: next(fresh) for v in part.order if v not in (a, b)}
+        mapping[a], mapping[b] = x, y
+        g = edge_splice(g, relabel_graph(part, mapping), x, y)
+    return g
+
+
+@pytest.fixture(scope="session")
+def chains12(corpus6):
+    """Seeded splice chains of 12 and 14 vertices, built from corpus parts.
+
+    Splicing chains 2-separations, which random G(10, p) graphs rarely have.
+    """
+    rng = random.Random(CHAINS12_SEED)
+    parts = [g for g in corpus6 if g.n >= 4]
+    out = [splice_chain(rng, parts, target) for target in (12, 14) for _ in range(15)]
+    assert all(is_matching_covered(g) for g in out)
+    return out

@@ -14,11 +14,12 @@ from itertools import combinations
 
 import pytest
 
-from tightcuts.corpus import edge_splice, gen_h_n, gen_named
+from conftest import splice_chain
+from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.decomp import decompose, find_nontrivial_tight_cut
 from tightcuts.elp import (enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
                            two_separations)
-from tightcuts.graphcore import MultiGraph, build_graph, relabel_graph, removed_components
+from tightcuts.graphcore import MultiGraph, build_graph, removed_components
 from tightcuts.matching import (barrier_classes, enumerate_tight_cuts, is_matching_covered,
                                 is_tight, odd_shores)
 
@@ -105,20 +106,6 @@ def cube():
 def fresh(g):
     """An equal graph instance with nothing memoised."""
     return MultiGraph(g.vertices, g.edges, g.label_items)
-
-
-def splice_chain(rng, parts, target):
-    """Splice seeded parts along seeded edges until the chain has target vertices."""
-    g = rng.choice(parts)
-    while g.n < target:
-        part = rng.choice([p for p in parts if p.n - 2 <= target - g.n])
-        x, y = rng.choice(g.edges)
-        a, b = rng.choice(part.edges)
-        fresh = iter(range(max(g.vertices) + 1, max(g.vertices) + part.n))
-        mapping = {v: next(fresh) for v in part.order if v not in (a, b)}
-        mapping[a], mapping[b] = x, y
-        g = edge_splice(g, relabel_graph(part, mapping), x, y)
-    return g
 
 
 @pytest.fixture(scope="module")

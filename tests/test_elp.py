@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from tightcuts.corpus import gen_h_n, gen_named
@@ -6,7 +8,8 @@ from tightcuts.elp import (all_two_separation_cuts, barrier_cuts, elp_set,
                            lift_from_contraction, two_separation_cuts, two_separations)
 from tightcuts.errors import (BadCertificate, EmptySet, GraphMismatch, GraphTooLarge,
                               NotTight, TrivialCut)
-from tightcuts.graphcore import build_graph, contract, make_cut
+from tightcuts.graphcore import build_graph, contract, make_cut, removed_components
+from tightcuts.matching import enumerate_tight_cuts
 
 
 def cycle(n):
@@ -140,6 +143,66 @@ def test_elp_set_h2_v_side():
     members = elp_set(g, make_cut(g, shore))
     got = {frozenset(g.labels[v] for v in m.cut.small_shore) for m in members}
     assert got == {frozenset({"u1", "u2", "u3"}), frozenset({"v3", "v4", "v5"})}
+
+
+def test_elp_set_finds_a_cut_whose_first_barrier_is_not_sheltered():
+    # the cut bounds an odd component of {0, 6, 7} and of {1, 2}; barrier_cuts
+    # keeps {0, 6, 7} as its witness, and only {1, 2} is sheltered by C
+    g = build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 5), (2, 7),
+                        (3, 6), (4, 7)])
+    target = make_cut(g, {1, 2, 5})
+    first = next(e for e in barrier_cuts(g) if e.cut == target)
+    assert first.certificate.barrier.vertices == {0, 6, 7}
+    members = elp_set(g, make_cut(g, {0, 3, 6}))
+    got = {m.cut.small_shore: m.certificate.barrier.vertices for m in members}
+    assert got == {frozenset({0, 3, 6}): {0, 6}, frozenset({1, 2, 5}): {1, 2},
+                   frozenset({2, 4, 7}): {2, 4}}
+
+
+def oracle_elp_shore_pairs(g, cut):
+    """ELP(C) from the definitions, by brute force over vertex subsets.
+
+    A sheltered barrier lies inside one shore of C, so only subsets of the
+    shores are tried; 2-separation cuts come from every pair of vertices.
+    """
+    def member(shore):
+        if 1 < len(shore) < g.n - 1:
+            out.add(frozenset((shore, g.vertices - shore)))
+
+    out = set()
+    for side in cut.shore_pair:
+        for size in range(2, len(side) + 1):
+            for b in combinations(sorted(side), size):
+                report = removed_components(g, b)
+                if report.odd_count == size:
+                    for comp in report.components:
+                        if len(comp) % 2:
+                            member(comp)
+    for pair in combinations(g.order, 2):
+        report = removed_components(g, pair)
+        comps = report.components
+        if len(comps) < 2 or report.odd_count:
+            continue
+        for k in range(1, len(comps)):
+            for group in combinations(comps, k):
+                for attach in pair:
+                    shore = frozenset().union(*group) | {attach}
+                    corners = (shore & cut.shore, shore - cut.shore,
+                               cut.shore - shore, g.vertices - shore - cut.shore)
+                    if not all(corners):  # C and the cut do not cross
+                        member(shore)
+    return out
+
+
+def test_elp_set_matches_definition_on_corpus(corpus6, corpus8):
+    cuts = 0
+    for g in corpus6 + corpus8:
+        for cut in enumerate_tight_cuts(g, nontrivial_only=True):
+            members = [m.cut.shore_pair for m in elp_set(g, cut)]
+            assert len(members) == len(set(members))
+            assert set(members) == oracle_elp_shore_pairs(g, cut)
+            cuts += 1
+    assert cuts == 1784
 
 
 def test_elp_set_validation():

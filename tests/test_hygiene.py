@@ -1,6 +1,5 @@
-"""Import hygiene: every name a library module imports is used in it, only
-`matching` names its private perfect-matching engine, and `corpus` does not
-touch networkx.
+"""Import hygiene: every name a library module imports is used in it, and
+only `matching` names its private perfect-matching engine or networkx.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -87,9 +86,11 @@ def names_networkx(source: str) -> bool:
     return False
 
 
-def test_corpus_does_not_use_networkx():
-    source = Path(tightcuts.__file__).parent.joinpath("corpus.py").read_text(encoding="utf-8")
-    assert not names_networkx(source)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "matching.py"],
+                         ids=lambda p: p.name)
+def test_only_matching_names_networkx(path):
+    # the blossom fallback past the subset-DP limit is the one networkx use
+    assert not names_networkx(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("src,found", [
