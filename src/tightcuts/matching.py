@@ -12,9 +12,18 @@ built on the first tightness query: per edge e, the edges whose pair with e
 is settled (`known`) and those found in a common perfect matching with e
 (`compat`).  The table fills lazily, one pair at a time and only for pairs
 inside a queried cut, so a cut already tested costs no further matching
-query.  `enumerate_tight_cuts` walks the odd shores as dense-index
-combinations, takes each cut's edge mask as the XOR of its vertices'
-incidence masks, and builds a `Cut` only for the shores that come out tight.
+query.
+
+`enumerate_tight_cuts` does not test the odd shores one by one.  It is a
+depth-first search that puts vertices 1..n-1, in dense-index order, on the
+shore of vertex 0 or on the far side.  An edge joins the cut when its higher
+end is placed opposite its lower end, and it stays in the cut of every
+completion; so once two cut edges lie in a common perfect matching, no
+completion is tight and the branch is dropped.  The pruning is exact: the
+test is the pairwise criterion itself, asked on the same table.  A shore
+that survives to depth n has had every pair of its cut edges settled, and is
+kept when it is odd and within the size bounds.  The work grows with the
+surviving branches, not with the 2^(n-2) odd shores.
 
 The engine also owns the vertex-pair question "does G - u - v have a perfect
 matching?".  `is_matching_covered` asks it once per edge, and
@@ -100,8 +109,8 @@ class _Engine:
 
         known[e] holds the edges f whose pair with e is settled: those meeting
         e, which no matching holds together, and those already asked.  Asked
-        pairs are recorded in the row of the lower edge, and compat[e] holds
-        the asked f for which G - V(e) - V(f) has a perfect matching.
+        pairs are recorded in both edges' rows, and compat[e] holds the asked
+        f for which G - V(e) - V(f) has a perfect matching.
         """
         if self.known is None:
             self.inc = inc = [0] * self.n
@@ -112,6 +121,18 @@ class _Engine:
             self.compat = [0] * len(self.edge_ends)
         return self.inc
 
+    def ask(self, e: int, f: int) -> bool:
+        """Settle the pair (e, f) in both rows: does a perfect matching hold both?"""
+        i, j = self.edge_ends[e]
+        k, m = self.edge_ends[f]
+        self.known[e] |= 1 << f
+        self.known[f] |= 1 << e
+        if self.pm_exists(self.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m))):
+            self.compat[e] |= 1 << f
+            self.compat[f] |= 1 << e
+            return True
+        return False
+
     def first_pair(self, cut: int) -> Optional[tuple]:
         """The first pair (e, f), e < f, of the cut's edge mask that a perfect
         matching holds, or None exactly when the cut of an odd shore is tight.
@@ -120,7 +141,7 @@ class _Engine:
         the unknown ones below the first known compatible pair are asked.
         """
         self.incidence()
-        known, compat, ends = self.known, self.compat, self.edge_ends
+        known, compat = self.known, self.compat
         while cut:
             ebit = cut & -cut
             cut ^= ebit
@@ -129,19 +150,37 @@ class _Engine:
             todo = cut & ~known[e]
             if hit:
                 todo &= (hit & -hit) - 1
-            i, j = ends[e]
             while todo:
                 fbit = todo & -todo
                 todo ^= fbit
-                known[e] |= fbit
                 f = fbit.bit_length() - 1
-                k, m = ends[f]
-                if self.pm_exists(self.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m))):
-                    compat[e] |= fbit
+                if self.ask(e, f):
                     return e, f
             if hit:
                 return e, (hit & -hit).bit_length() - 1
         return None
+
+    def clash(self, new: int, cut: int) -> bool:
+        """Does a perfect matching hold two edges of cut | new, one of them new?
+
+        Unknown pairs are asked, and settled, until one fits, so a False
+        answer leaves every pair that holds a new edge settled.
+        """
+        both = cut | new
+        known, compat = self.known, self.compat
+        while new:
+            xbit = new & -new
+            new ^= xbit
+            x = xbit.bit_length() - 1
+            if both & compat[x]:
+                return True
+            todo = both & ~known[x]
+            while todo:
+                fbit = todo & -todo
+                todo ^= fbit
+                if self.ask(x, fbit.bit_length() - 1):
+                    return True
+        return False
 
     def extract_pm(self, mask: int) -> Optional[frozenset]:
         """A concrete perfect matching on mask as edge indices, or None.
@@ -391,11 +430,14 @@ def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     return TightnessVerdict(True, None)
 
 
+def _shore_bounds(n: int, nontrivial_only: bool) -> tuple:
+    """Least and greatest size of an odd shore that holds the first vertex."""
+    return (3, n - 3) if nontrivial_only else (1, n - 1)
+
+
 def _shore_tails(items, nontrivial_only: bool):
     """For each odd shore through items[0], its other members, in odd_shores order."""
-    n = len(items)
-    lo = 3 if nontrivial_only else 1
-    hi = n - 3 if nontrivial_only else n - 1
+    lo, hi = _shore_bounds(len(items), nontrivial_only)
     for size in range(lo, hi + 1, 2):
         yield from combinations(items[1:], size - 1)
 
@@ -408,20 +450,39 @@ def odd_shores(g: MultiGraph, nontrivial_only: bool = False):
 
 
 def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
-    """All tight cuts of a matching covered graph, one per shore pair."""
+    """All tight cuts of a matching covered graph, one per shore pair, in odd_shores order."""
     _require_matching_covered(g)
 
     def compute():
         eng = _engine(g)
         inc = eng.incidence()
+        n = g.n
+        lo, hi = _shore_bounds(n, nontrivial_only)
+        below = [0] * n  # per vertex, its edges to lower vertices
+        for e, (i, j) in enumerate(eng.edge_ends):
+            below[max(i, j)] |= 1 << e
+        shores = []
+
+        def place(v, shore, size, shore_inc, far_inc, cut):
+            # vertices below v are placed; an edge enters the cut when its
+            # higher end is, and a clash there kills every completion
+            if v == n:
+                if size & 1:
+                    shores.append(shore)
+                return
+            if size < hi:
+                new = below[v] & far_inc
+                if not (new and eng.clash(new, cut)):
+                    place(v + 1, shore | (1 << v), size + 1, shore_inc | inc[v], far_inc, cut | new)
+            if v - size < n - lo:
+                new = below[v] & shore_inc
+                if not (new and eng.clash(new, cut)):
+                    place(v + 1, shore, size, shore_inc, far_inc | inc[v], cut | new)
+
+        place(1, 1, 1, inc[0], 0, 0)
         order = g.order
-        out = []
-        for tail in _shore_tails(range(g.n), nontrivial_only):
-            mask = inc[0]
-            for i in tail:
-                mask ^= inc[i]
-            if eng.first_pair(mask) is None:
-                out.append(Cut(g, frozenset(order[i] for i in (0,) + tail)))
-        return tuple(out)
+        members = sorted((tuple(i for i in range(n) if (s >> i) & 1) for s in shores),
+                         key=lambda t: (len(t), t))
+        return tuple(Cut(g, frozenset(order[i] for i in t)) for t in members)
 
     return list(graph_memo(g, ("tight_cuts", nontrivial_only), compute))

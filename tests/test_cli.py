@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import tightcuts
+from tightcuts import decomp
 from tightcuts.cli import Report, _sweep_graph, main, report_from_json_obj
 from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
-from tightcuts.formats import graph_to_json, write_graph6
+from tightcuts.formats import graph_to_json, parse_graph6, write_graph6
 
 
 @pytest.fixture()
@@ -159,6 +160,18 @@ def test_decompose_repeats_agree(capsys, g6_file):
     assert f["brick_numbers"] == [1, 1, 1] and f["agreement"] is True
     assert f["leaves"] == [{"kind": "brick", "n": 10}]
     assert f["seeds"] == [0, 1, 2]
+
+
+def test_decompose_repeats_equal_fresh_decompositions(capsys, g6_file):
+    # decompose frees its input's memo, so every repeat must start afresh
+    code, obj = run_json(capsys, ["decompose", "--json", "--repeats", "3", "--seed", "5",
+                                  "--input", g6_file("h2.g6", gen_h_n(2))])
+    assert code == 0
+    line = write_graph6(gen_h_n(2))
+    trees = [decomp.decompose(parse_graph6(line), "exhaustive", 5 + k) for k in range(3)]
+    f = obj["findings"]
+    assert f["brick_numbers"] == [decomp.brick_number(t) for t in trees] == [4, 4, 4]
+    assert f["tree"] == trees[0].to_json_obj()
 
 
 def test_decompose_human(capsys, g6_file):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -107,6 +108,16 @@ def test_brick_number_is_strategy_and_seed_invariant_on_small_corpus(corpus6):
         for strategy in ("exhaustive", "elp-first"):
             for seed in (1, 17):
                 assert brick_number(decompose(g, strategy, seed)) == baseline
+
+
+def test_exhaustive_trees_are_pinned(chains12):
+    # digest of the trees the exhaustive strategy gave before tight-cut
+    # enumeration became a pruned search; any change in which cut a seed
+    # picks, or in a tree's shape, moves it
+    graphs = [gen_h_n(k) for k in (1, 2, 3)] + chains12
+    trees = [decompose(g, "exhaustive", seed).to_json_obj() for g in graphs for seed in (0, 1, 2)]
+    digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == "cc7875ba20fc9bc8"
 
 
 def test_tree_json_shape():

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nx_is_matching_covered, to_networkx
+from conftest import nx_is_matching_covered, splice_chain, to_networkx
 from tightcuts.corpus import connected_graphs, gen_h_n, gen_named
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
-from tightcuts.graphcore import build_graph, cut_edge_indices, make_cut
-from tightcuts.matching import (enumerate_perfect_matchings, enumerate_tight_cuts,
-                                has_perfect_matching, is_bicritical, is_matching_covered,
-                                is_tight, is_tight_by_enumeration, odd_shores,
-                                subgraph_has_pm, tutte_violator)
+from tightcuts.graphcore import MultiGraph, build_graph, cut_edge_indices, make_cut
+from tightcuts.matching import (_engine, _shore_tails, enumerate_perfect_matchings,
+                                enumerate_tight_cuts, has_perfect_matching, is_bicritical,
+                                is_matching_covered, is_tight, is_tight_by_enumeration,
+                                odd_shores, subgraph_has_pm, tutte_violator)
 
 
 def cycle(n):
@@ -222,6 +222,62 @@ def test_enumerate_tight_cuts():
         frozenset({0, 1, 2}), frozenset({0, 1, 5}), frozenset({0, 4, 5})}
     assert len(enumerate_tight_cuts(g)) == 9  # six trivial cuts join in
     assert enumerate_tight_cuts(gen_named("k4"), nontrivial_only=True) == []
+
+
+def walked_tight_shores(g, nontrivial_only):
+    """Oracle: test every odd shore through the lowest vertex, in odd_shores order.
+
+    Runs on a fresh copy of g, so it shares no edge-pair table with the search.
+    """
+    h = MultiGraph(g.vertices, g.edges, g.label_items)
+    eng = _engine(h)
+    inc = eng.incidence()
+    out = []
+    for tail in _shore_tails(range(h.n), nontrivial_only):
+        mask = inc[0]
+        for i in tail:
+            mask ^= inc[i]
+        if eng.first_pair(mask) is None:
+            out.append(frozenset(h.order[i] for i in (0,) + tail))
+    return out
+
+
+def assert_search_matches_walk(g):
+    for nontrivial_only in (True, False):
+        cuts = enumerate_tight_cuts(g, nontrivial_only)
+        assert [c.shore for c in cuts] == walked_tight_shores(g, nontrivial_only)
+        # every pair inside a returned cut is settled, so re-testing asks nothing
+        eng = _engine(g)
+        pm_entries, known = len(eng.pm_memo), list(eng.known)
+        assert all(is_tight(g, c.shore).tight for c in cuts)
+        assert len(eng.pm_memo) == pm_entries and eng.known == known
+
+
+def test_tight_cut_search_matches_the_shore_walk(corpus6, corpus8, sample10, chains12):
+    graphs = corpus6 + corpus8 + sample10 + chains12 + [gen_h_n(k) for k in range(1, 5)]
+    for g in graphs:
+        assert_search_matches_walk(g)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([12, 14, 16, 18]))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_tight_cut_search_matches_the_shore_walk_on_splice_chains(corpus6, rng, target):
+    g = splice_chain(rng, [g for g in corpus6 if g.n >= 4], target)
+    assert g.n == target and is_matching_covered(g)
+    assert_search_matches_walk(g)
+
+
+def test_tight_cut_search_past_ten_vertices():
+    big = gen_h_n(5)  # 22 vertices: 2^20 odd shores through the lowest vertex
+    cuts = enumerate_tight_cuts(big, nontrivial_only=True)
+    assert big.n == 22 and len(cuts) == 54
+    assert all(is_tight(big, c.shore).tight for c in cuts)
+    g = gen_h_n(3)
+    found = {c.shore for c in enumerate_tight_cuts(g)}
+    others = [s for s in odd_shores(g) if s not in found]
+    rng = random.Random(19)
+    for shore in sorted(found, key=sorted) + rng.sample(others, 50):
+        assert is_tight_by_enumeration(g, shore).tight == (shore in found)
 
 
 def test_trivial_cuts_are_always_tight(corpus6):
