@@ -14,7 +14,7 @@ from typing import Optional
 
 from .elp import all_two_separation_cuts, barrier_cuts
 from .graphcore import Cut, MultiGraph, contract, drop_memo, is_bipartite
-from .matching import _require_matching_covered, _shore_tails, enumerate_tight_cuts, is_tight
+from .matching import _require_matching_covered, enumerate_tight_cuts, is_tight
 
 
 @dataclass(frozen=True)
@@ -48,40 +48,30 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
                               seed: int = 0) -> Optional[Cut]:
     """A seed-chosen non-trivial tight cut, or None for bricks and braces.
 
-    exhaustive takes the first tight one among all non-trivial odd shores in
-    seed-shuffled order; elp-first draws from the barrier-cuts and 2-separation
-    cuts, which are always tight and always include one when any non-trivial
-    tight cut exists.
+    Each strategy lists candidate cuts and the seed shuffles the list once;
+    the first is returned.  exhaustive lists every non-trivial tight cut, so
+    each is equally likely to be drawn; elp-first lists the barrier-cuts and
+    2-separation cuts, which are always tight and always include one when any
+    non-trivial tight cut exists.
     """
     _require_matching_covered(g)
-    rng = random.Random(seed)
     if strategy == "exhaustive":
-        # every tight shore holds the lowest vertex, so its other members name
-        # its slot among the odd shores; shuffle draws depend only on the list
-        # length, so shuffling the slots picks the cut shuffling the shores would
-        idx = g.index
-        tight = {tuple(sorted(idx[v] for v in c.shore))[1:]: c
-                 for c in enumerate_tight_cuts(g, nontrivial_only=True)}
-        if not tight:
-            return None
-        slots = [tight.get(tail) for tail in _shore_tails(range(g.n), True)]
-        rng.shuffle(slots)
-        return next(c for c in slots if c is not None)
-    if strategy == "elp-first":
-        candidates = [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
-        candidates += [e.cut for e in all_two_separation_cuts(g)]  # never trivial
-        seen = set()
-        unique = []
-        for c in candidates:
-            if c.shore_pair not in seen:
-                seen.add(c.shore_pair)
-                unique.append(c)
-        if not unique:
-            return None
-        rng.shuffle(unique)
-        assert is_tight(g, unique[0].shore).tight, "ELP-cuts must be tight"
-        return unique[0]
-    raise ValueError(f"unknown strategy {strategy!r}")
+        # a fresh list each call, so the shuffle below leaves the memo as it is
+        candidates = enumerate_tight_cuts(g, nontrivial_only=True)
+    elif strategy == "elp-first":
+        cuts = [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
+        cuts += [e.cut for e in all_two_separation_cuts(g)]  # never trivial
+        first = {}  # per shore pair, its first cut, in list order
+        for c in cuts:
+            first.setdefault(c.shore_pair, c)
+        candidates = list(first.values())
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not candidates:
+        return None
+    random.Random(seed).shuffle(candidates)
+    assert is_tight(g, candidates[0].shore).tight, "candidate cuts must be tight"
+    return candidates[0]
 
 
 def decompose(g: MultiGraph, strategy: str = "exhaustive", seed: int = 0) -> DecompositionTree:

@@ -435,18 +435,13 @@ def _shore_bounds(n: int, nontrivial_only: bool) -> tuple:
     return (3, n - 3) if nontrivial_only else (1, n - 1)
 
 
-def _shore_tails(items, nontrivial_only: bool):
-    """For each odd shore through items[0], its other members, in odd_shores order."""
-    lo, hi = _shore_bounds(len(items), nontrivial_only)
-    for size in range(lo, hi + 1, 2):
-        yield from combinations(items[1:], size - 1)
-
-
 def odd_shores(g: MultiGraph, nontrivial_only: bool = False):
     """All odd shores up to complement, ordered by size then lexicographically."""
     order = g.order
-    for tail in _shore_tails(order, nontrivial_only):
-        yield frozenset((order[0],) + tail)
+    lo, hi = _shore_bounds(g.n, nontrivial_only)
+    for size in range(lo, hi + 1, 2):
+        for tail in combinations(order[1:], size - 1):
+            yield frozenset((order[0],) + tail)
 
 
 def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:

@@ -83,10 +83,10 @@ def neighbourhood(g, side):
 
 
 def oracle_exhaustive_cut(g, seed):
-    """Shuffle every non-trivial odd shore by the seed; the first tight one."""
-    shores = list(odd_shores(g, nontrivial_only=True))
+    """The tight non-trivial odd shores in odd_shores order, shuffled by the seed; the first."""
+    shores = [s for s in odd_shores(g, nontrivial_only=True) if is_tight(g, s).tight]
     random.Random(seed).shuffle(shores)
-    return next((s for s in shores if is_tight(g, s).tight), None)
+    return shores[0] if shores else None
 
 
 # -- inputs ----------------------------------------------------------------

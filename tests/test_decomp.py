@@ -8,6 +8,7 @@ from tightcuts.decomp import (brick_number, decompose, find_nontrivial_tight_cut
                               is_brace, is_brick)
 from tightcuts.errors import NotMatchingCovered
 from tightcuts.graphcore import build_graph
+from tightcuts.matching import enumerate_tight_cuts, is_tight
 
 
 def cycle(n):
@@ -43,10 +44,13 @@ def test_no_cut_in_a_brick_or_brace():
 def test_found_cut_is_one_of_the_three():
     g = cycle(6)
     expected = {frozenset({0, 1, 2}), frozenset({0, 1, 5}), frozenset({0, 4, 5})}
+    listed = [c.shore for c in enumerate_tight_cuts(g, nontrivial_only=True)]
     for strategy in ("exhaustive", "elp-first"):
         for seed in range(5):
             cut = find_nontrivial_tight_cut(g, strategy, seed)
             assert cut.small_shore in expected
+    # the draw shuffles a copy, never the memoised list
+    assert [c.shore for c in enumerate_tight_cuts(g, nontrivial_only=True)] == listed
 
 
 def test_seed_determinism():
@@ -110,14 +114,45 @@ def test_brick_number_is_strategy_and_seed_invariant_on_small_corpus(corpus6):
                 assert brick_number(decompose(g, strategy, seed)) == baseline
 
 
+def tree_digest(graphs, strategy):
+    trees = [decompose(g, strategy, seed).to_json_obj() for g in graphs for seed in (0, 1, 2)]
+    return hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def test_exhaustive_trees_are_pinned(chains12):
-    # digest of the trees the exhaustive strategy gave before tight-cut
-    # enumeration became a pruned search; any change in which cut a seed
-    # picks, or in a tree's shape, moves it
+    # digest of the trees the exhaustive strategy gives since it shuffles its
+    # list of tight cuts instead of every odd shore: the draw is as uniform,
+    # but a seed picks another cut (it was cc7875ba20fc9bc8 under the old
+    # rule); any change in which cut a seed picks, or in a tree's shape, moves it
     graphs = [gen_h_n(k) for k in (1, 2, 3)] + chains12
-    trees = [decompose(g, "exhaustive", seed).to_json_obj() for g in graphs for seed in (0, 1, 2)]
-    digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()[:16]
-    assert digest == "cc7875ba20fc9bc8"
+    assert tree_digest(graphs, "exhaustive") == "579dc1a5de37a43c"
+
+
+def test_elp_first_trees_are_pinned(chains12):
+    # both strategies share one seeded draw; this pins the elp-first trees
+    # as they were before it, so any change in its candidate order or its
+    # shuffle moves the digest
+    graphs = [gen_h_n(k) for k in (1, 2, 3)] + chains12
+    assert tree_digest(graphs, "elp-first") == "64f0a3e15f7017c7"
+
+
+def internal_nodes(tree):
+    if tree.cut is not None:
+        yield tree
+        for child in tree.children:
+            yield from internal_nodes(child)
+
+
+def test_exhaustive_decomposition_past_the_subset_dp_limit():
+    # gen_h_n(6) has 26 vertices, the last size the subset DP serves, and
+    # gen_h_n(7) has 30, so its root's matching questions go to blossom
+    for seed in (0, 1, 2):
+        tree = decompose(gen_h_n(6), "exhaustive", seed)
+        assert brick_number(tree) == 12
+        for node in internal_nodes(tree):
+            assert not node.cut.is_trivial
+            assert is_tight(node.graph, node.cut.shore).tight
+    assert brick_number(decompose(gen_h_n(7), "exhaustive", 0)) == 14
 
 
 def test_tree_json_shape():

@@ -1,5 +1,6 @@
-"""Import hygiene: every name a library module imports is used in it, and
-only `matching` names its private perfect-matching engine or networkx.
+"""Import hygiene: every name a library module imports is used in it, only
+`matching` names its private perfect-matching engine or networkx, and every
+library name the benchmark harness in `perfbench/` uses exists.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -7,6 +8,7 @@ are the public re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,43 @@ def test_only_matching_names_networkx(path):
 ])
 def test_networkx_scan(src, found):
     assert names_networkx(src) is found
+
+
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+
+
+def tightcuts_names(source: str) -> list:
+    """(module, name) for every `from tightcuts.X import name`, and for every
+    `X.name` where X came from `from tightcuts import X`."""
+    tree = ast.parse(source)
+    found = set()
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tightcuts":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tightcuts."):
+            found.update((node.module.partition(".")[2], a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return sorted(found)
+
+
+def test_perfbench_names_resolve():
+    # the benchmark reads these outside its per-op error handling, so a name
+    # moved or renamed in the library fails here rather than in a worker
+    names = {pair for path in PERFBENCH for pair in tightcuts_names(path.read_text(encoding="utf-8"))}
+    assert len(names) >= 20  # the scan sees the harness's imports at all
+    missing = [(mod, name) for mod, name in sorted(names)
+               if not hasattr(importlib.import_module(f"tightcuts.{mod}"), name)]
+    assert missing == []
+
+
+def test_tightcuts_name_scan():
+    src = ("from tightcuts.corpus import edge_splice\n"
+           "def f(g):\n"
+           "    from tightcuts import matching as m, elp\n"
+           "    return m.odd_shores(g), elp.barrier_cuts(g), g.n, edge_splice\n")
+    assert tightcuts_names(src) == [("corpus", "edge_splice"), ("elp", "barrier_cuts"),
+                                    ("matching", "odd_shores")]

@@ -11,7 +11,7 @@ from tightcuts.corpus import connected_graphs, gen_h_n, gen_named
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
 from tightcuts.graphcore import MultiGraph, build_graph, cut_edge_indices, make_cut
-from tightcuts.matching import (_engine, _shore_tails, enumerate_perfect_matchings,
+from tightcuts.matching import (_engine, enumerate_perfect_matchings,
                                 enumerate_tight_cuts, has_perfect_matching, is_bicritical,
                                 is_matching_covered, is_tight, is_tight_by_enumeration,
                                 odd_shores, subgraph_has_pm, tutte_violator)
@@ -233,12 +233,12 @@ def walked_tight_shores(g, nontrivial_only):
     eng = _engine(h)
     inc = eng.incidence()
     out = []
-    for tail in _shore_tails(range(h.n), nontrivial_only):
-        mask = inc[0]
-        for i in tail:
-            mask ^= inc[i]
+    for shore in odd_shores(h, nontrivial_only):
+        mask = 0
+        for v in shore:
+            mask ^= inc[h.index[v]]
         if eng.first_pair(mask) is None:
-            out.append(frozenset(h.order[i] for i in (0,) + tail))
+            out.append(shore)
     return out
 
 
