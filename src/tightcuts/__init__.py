@@ -1,12 +1,11 @@
 """Tight cuts, ELP-cuts and GS-cuts in matching covered graphs."""
 
-from .corpus import (CorpusStream, edge_splice, enumerate_matching_covered, gen_h_n,
-                     gen_h_n_prime, gen_named)
+from .corpus import CorpusStream, enumerate_matching_covered, gen_h_n, gen_h_n_prime, gen_named
 from .decomp import (DecompositionTree, brick_number, decompose, find_nontrivial_tight_cut,
                      is_brace, is_brick)
 from .elp import (Barrier, ElpCut, TwoSeparation, all_two_separation_cuts, barrier_cuts,
                   elp_set, enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
-                  lift_from_contraction, two_separation_cuts, two_separations)
+                  two_separation_cuts, two_separations)
 from .errors import (BadCertificate, BadParameter, BadShore, BadSplice, BadVertex,
                      EmptySet, EvenShore, GraphMismatch, GraphTooLarge, LoopRejected,
                      NeedExternalCorpus, NotMatchingCovered, NotTight, ParseError,
@@ -15,8 +14,8 @@ from .errors import (BadCertificate, BadParameter, BadShore, BadSplice, BadVerte
 from .formats import (graph_from_json_obj, graph_to_json, graph_to_json_obj, parse_graph6,
                       parse_graph_json, read_graph6_file, read_graph6_lines, write_graph6)
 from .graphcore import (Cut, MultiGraph, build_graph, contract, cut_edges, cuts_cross,
-                        edges_between, graph_from, is_laminar, make_cut, relabel_graph,
-                        removed_components, shore_contraction)
+                        edge_splice, edges_between, graph_from, is_laminar, make_cut,
+                        relabel_graph, removed_components, shore_contraction)
 from .gscut import (EssentialGSCertificate, GSCertificate, TightCutClassification,
                     associated_family, check_splice_tightness, classify_tight_cut,
                     end_2_separations, is_essential_gs_cut, is_gs_cut,

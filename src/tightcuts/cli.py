@@ -20,12 +20,12 @@ from itertools import combinations
 from typing import Optional
 
 from . import decomp, elp, gscut, matching
-from .corpus import CorpusStream, edge_splice, gen_named
+from .corpus import CorpusStream, gen_named
 from .errors import (BadParameter, BadShore, BadVertex, EvenShore, GraphTooLarge,
                      NeedExternalCorpus, NotMatchingCovered, NotTight, ParseError,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
 from .formats import parse_graph6, parse_graph_json, read_graph6_lines, write_graph6
-from .graphcore import MultiGraph, make_cut, relabel_graph
+from .graphcore import MultiGraph, edge_splice, make_cut, relabel_graph
 
 VERSION = "0.1.0"
 
@@ -117,8 +117,6 @@ def _names(g: MultiGraph, vs) -> list:
 
 # -- analyze ---------------------------------------------------------------
 
-_ANALYZE_TIGHT_LIMIT = 14
-
 
 def _analyze_one(g: MultiGraph) -> dict:
     info = {"n": g.n, "edge_count": g.m}
@@ -129,25 +127,18 @@ def _analyze_one(g: MultiGraph) -> dict:
     info["bicritical"] = matching.is_bicritical(g) if g.n >= 4 else None
     seps = elp.two_separations(g)
     info["two_separations"] = [_names(g, s.pair) for s in seps]
+    info["two_separation_cuts"] = [_names(g, e.cut.shore)
+                                   for e in elp.all_two_separation_cuts(g)]
     if g.n <= elp._BARRIER_ENUM_LIMIT:
         barriers = elp.enumerate_nontrivial_barriers(g)
         info["nontrivial_barriers"] = [_names(g, b.vertices) for b in barriers]
         info["barrier_cuts"] = [_names(g, e.cut.shore) for e in elp.barrier_cuts(g)]
+        info["nontrivial_tight_cuts"] = [
+            {"shore": _names(g, c.small_shore), "elp_count": len(elp.elp_set(g, c))}
+            for c in matching.enumerate_tight_cuts(g, nontrivial_only=True)]
     else:
-        info["nontrivial_barriers"] = None  # past the enumeration cap
-    info["two_separation_cuts"] = [_names(g, e.cut.shore)
-                                   for e in elp.all_two_separation_cuts(g)]
-    if g.n <= _ANALYZE_TIGHT_LIMIT:
-        cuts = matching.enumerate_tight_cuts(g, nontrivial_only=True)
-        listed = []
-        for c in cuts:
-            listed.append({
-                "shore": _names(g, c.small_shore),
-                "elp_count": len(elp.elp_set(g, c)),
-            })
-        info["nontrivial_tight_cuts"] = listed
-    else:
-        info["nontrivial_tight_cuts"] = None  # skipped past the scan limit
+        # past the enumeration cap, which elp_set's barrier-cuts need too
+        info["nontrivial_barriers"] = info["nontrivial_tight_cuts"] = None
     return info
 
 
@@ -321,10 +312,9 @@ def _sweep_graph(g6: str, theorems: tuple) -> dict:
                     fail("props", "GS-cut that is not tight (prop 3.2)", shore)
         if "3.3" in theorems:
             for shore in gs_shores:
-                cut = make_cut(g, shore)
-                if cut.is_trivial or not matching.is_tight(g, shore).tight:
+                if not matching.is_tight(g, shore).tight:
                     continue
-                if len(elp.elp_set(g, cut)) < 2:
+                if len(elp.elp_set(g, make_cut(g, shore))) < 2:
                     fail("3.3", "non-trivial GS-cut with fewer than 2 ELP cuts", shore)
     if "props" in theorems:
         _sweep_props(g, ntc, fail)

@@ -1,19 +1,19 @@
-"""Example-family generators, edge splicing, and desk-scale corpora.
+"""Example-family generators, splice chains, and desk-scale corpora.
 
 The two parametric families live here (a chain of spliced K4 blocks, and a
 near-path graph with one degree-2 hub path), together with named fixtures,
-the edge-splice operation, and a corpus stream that enumerates all matching
-covered simple graphs up to 8 vertices in-process and ingests graph6 files
-beyond that.
+seeded splice chains built with `graphcore.edge_splice`, and a corpus stream
+that enumerates all matching covered simple graphs up to 8 vertices
+in-process and ingests graph6 files beyond that.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import BadParameter, BadSplice, NeedExternalCorpus, UnknownGraph
+from .errors import BadParameter, NeedExternalCorpus, UnknownGraph
 from .formats import read_graph6_file
-from .graphcore import MultiGraph, _bits, build_graph, graph_from, removed_components
+from .graphcore import MultiGraph, _bits, build_graph, edge_splice, relabel_graph
 from .matching import is_matching_covered
 
 
@@ -74,33 +74,18 @@ def gen_h_n_prime(n: int) -> MultiGraph:
     return build_graph(top + 3, edges, labels)
 
 
-def edge_splice(g1: MultiGraph, g2: MultiGraph, x, y) -> MultiGraph:
-    """Glue two graphs along the shared edge xy; {x, y} separates the result.
-
-    The inputs overlap in exactly {x, y}, each brings the edge xy, and the
-    union keeps a single copy of it.  Each side must leave an even remainder
-    so that {x, y} is a 2-separation of the result.
-    """
-    pair = (x, y) if x < y else (y, x)
-    for g in (g1, g2):
-        if x not in g.vertices or y not in g.vertices:
-            raise BadSplice("both graphs must contain the splice vertices")
-        if pair not in g.edges:
-            raise BadSplice("the splice edge must be present in both graphs")
-        if g.n < 4:
-            raise BadSplice("each side needs at least 4 vertices")
-    overlap = g1.vertices & g2.vertices
-    if overlap != {x, y}:
-        raise BadSplice(f"graphs overlap in {sorted(overlap)!r}, expected exactly the splice pair")
-    edges = list(g1.edges) + list(g2.edges)
-    edges.remove(pair)  # keep one copy of the shared edge
-    labels = dict(g2.label_items)
-    labels.update(g1.label_items)
-    spliced = graph_from(g1.vertices | g2.vertices, edges, labels or None)
-    report = removed_components(spliced, (x, y))
-    if report.odd_count or len(report.components) < 2:
-        raise BadSplice("the splice pair does not separate the result into even parts")
-    return spliced
+def splice_chain(rng, parts, target):
+    """Splice seeded parts along seeded edges until the chain has target vertices."""
+    g = rng.choice(parts)
+    while g.n < target:
+        part = rng.choice([p for p in parts if p.n - 2 <= target - g.n])
+        x, y = rng.choice(g.edges)
+        a, b = rng.choice(part.edges)
+        fresh = iter(range(max(g.vertices) + 1, max(g.vertices) + part.n))
+        mapping = {v: next(fresh) for v in part.order if v not in (a, b)}
+        mapping[a], mapping[b] = x, y
+        g = edge_splice(g, relabel_graph(part, mapping), x, y)
+    return g
 
 
 _NAMED = {}

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import (BadCertificate, EmptySet, GraphMismatch, GraphTooLarge, NotTight,
-                     TrivialCut)
+from .errors import EmptySet, GraphMismatch, GraphTooLarge, NotTight, TrivialCut
 from .graphcore import (Cut, MultiGraph, _bits, _component_masks, graph_memo, is_laminar,
                         make_cut, removed_components)
 from .matching import _require_matching_covered, barrier_classes, is_tight
@@ -195,13 +194,13 @@ def two_separation_cuts(g: MultiGraph, sep: TwoSeparation) -> list:
     """Cuts from grouping the components of G - {u, v} and attaching u or v.
 
     Every bipartition of the components into two nonempty groups gives two
-    shores (group plus either separation vertex); deduplicated by shore pair.
+    shores (group plus either separation vertex), each shore pair once:
+    component 0 is always on the group side, so no complement of a shore is
+    another shore, and a shore fixes its group and attach vertex.
     """
     comps = sep.components
     u, v = sorted(sep.pair)
     out = []
-    seen = set()
-    # fix component 0 on the group side so each unordered bipartition comes up once
     rest = comps[1:]
     for pick in range(1 << len(rest)):
         group = [comps[0]] + [c for k, c in enumerate(rest) if (pick >> k) & 1]
@@ -209,11 +208,7 @@ def two_separation_cuts(g: MultiGraph, sep: TwoSeparation) -> list:
             continue  # the other group would be empty
         base = frozenset().union(*group)
         for attach in (u, v):
-            cut = make_cut(g, base | {attach})
-            if cut.shore_pair in seen:
-                continue
-            seen.add(cut.shore_pair)
-            out.append(ElpCut(cut, "two-separation-cut",
+            out.append(ElpCut(make_cut(g, base | {attach}), "two-separation-cut",
                               TwoSeparationCutWitness(sep, tuple(group), attach)))
     return out
 
@@ -258,32 +253,3 @@ def elp_set(g: MultiGraph, cut: Cut) -> list:
     out += [elp for elp in all_two_separation_cuts(g)
             if elp.cut.shore_pair not in seen and is_laminar(elp.cut, cut)]
     return out
-
-
-def lift_from_contraction(g: MultiGraph, h: MultiGraph, xbar, u2, s_h: Iterable) -> frozenset:
-    """Transport a barrier or 2-separation of a shore-contraction back up.
-
-    h must be g with the far shore contracted to xbar, the cut associated
-    with a separation pair whose far member is u2.  The lifted set is s_h
-    itself when xbar is not involved, else s_h with xbar swapped for u2;
-    the result is re-validated on g and must keep its kind.
-    """
-    s = frozenset(s_h)
-    if not s <= h.vertices:
-        raise BadCertificate("set is not inside the contracted graph")
-    report_h = removed_components(h, s)
-    if report_h.odd_count == len(s):
-        kind = "barrier"
-    elif len(report_h.components) >= 2 and report_h.odd_count == 0:
-        kind = "two-separation"
-    else:
-        raise BadCertificate("set is neither a barrier nor a 2-separation of the contraction")
-    lifted = s if xbar not in s else (s - {xbar}) | {u2}
-    report_g = removed_components(g, lifted)
-    if kind == "barrier":
-        ok = report_g.odd_count == len(lifted)
-    else:
-        ok = len(report_g.components) >= 2 and report_g.odd_count == 0
-    if not ok:
-        raise BadCertificate(f"lifted set fails to be a {kind} of the host graph")
-    return lifted

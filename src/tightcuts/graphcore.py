@@ -1,4 +1,5 @@
-"""Loopless multigraph with cut algebra, contraction, components and parity.
+"""Loopless multigraph with cut algebra, contraction, edge splicing,
+components and parity.
 
 Vertices are ints with no structural meaning; edges are unordered pairs kept
 as a sorted tuple so that the *index* of an edge is its stable reference
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import BadShore, BadVertex, GraphMismatch, GraphTooLarge, LoopRejected
+from .errors import BadShore, BadSplice, BadVertex, GraphMismatch, GraphTooLarge, LoopRejected
 
 MAX_VERTICES = 64
 
@@ -392,6 +393,35 @@ def shore_contraction(g: MultiGraph, shore: Iterable, tag: Optional[str] = None,
     """Contract the *complement* of a shore: the shore-side graph of a cut."""
     s = _check_shore(g, shore)
     return contract(g, g.vertices - s, tag=tag, new_id=new_id)
+
+
+def edge_splice(g1: MultiGraph, g2: MultiGraph, x, y) -> MultiGraph:
+    """Glue two graphs along the shared edge xy; {x, y} separates the result.
+
+    The inputs overlap in exactly {x, y}, each brings the edge xy, and the
+    union keeps a single copy of it.  Each side must leave an even remainder
+    so that {x, y} is a 2-separation of the result.
+    """
+    pair = (x, y) if x < y else (y, x)
+    for g in (g1, g2):
+        if x not in g.vertices or y not in g.vertices:
+            raise BadSplice("both graphs must contain the splice vertices")
+        if pair not in g.edges:
+            raise BadSplice("the splice edge must be present in both graphs")
+        if g.n < 4:
+            raise BadSplice("each side needs at least 4 vertices")
+    overlap = g1.vertices & g2.vertices
+    if overlap != {x, y}:
+        raise BadSplice(f"graphs overlap in {sorted(overlap)!r}, expected exactly the splice pair")
+    edges = list(g1.edges) + list(g2.edges)
+    edges.remove(pair)  # keep one copy of the shared edge
+    labels = dict(g2.label_items)
+    labels.update(g1.label_items)
+    spliced = graph_from(g1.vertices | g2.vertices, edges, labels or None)
+    report = removed_components(spliced, (x, y))
+    if report.odd_count or len(report.components) < 2:
+        raise BadSplice("the splice pair does not separate the result into even parts")
+    return spliced
 
 
 # -- per-instance memo -----------------------------------------------------

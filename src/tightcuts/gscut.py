@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .corpus import edge_splice
 from .elp import (Barrier, TwoSeparation, enumerate_nontrivial_barriers, is_barrier,
                   is_barrier_cut, two_separations)
 from .errors import (BadCertificate, BadSplice, NotMatchingCovered, NotTight,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
-from .graphcore import (Cut, MultiGraph, _check_shore, _component_masks, contract, make_cut,
-                        removed_components)
+from .graphcore import (Cut, MultiGraph, _check_shore, _component_masks, contract,
+                        edge_splice, make_cut, removed_components)
 from .matching import _require_matching_covered, is_tight
 
 DEFAULT_MAX_BARRIER_FAMILY = 4
@@ -262,13 +261,13 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
                     transcript)
             if any(a.vertices & b.vertices for a, b in combinations(combo, 2)):
                 continue
-            ordered = sorted(combo, key=lambda bar: sorted(bar.vertices))
+            # sheltered keeps enumerate_nontrivial_barriers' order, and so does combo
             regions = []
-            for bar in ordered:
+            for bar in combo:
                 region = _barrier_region(g, bar.vertices, x)
                 if region is None:
                     transcript.append(
-                        f"family {[sorted(b.vertices) for b in ordered]}: far shore split "
+                        f"family {[sorted(b.vertices) for b in combo]}: far shore split "
                         f"by barrier {sorted(bar.vertices)}")
                     regions = None
                     break
@@ -277,7 +276,7 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
                 continue
             if any(r1 & r2 for r1, r2 in combinations(regions, 2)):
                 transcript.append(
-                    f"family {[sorted(b.vertices) for b in ordered]}: regions overlap")
+                    f"family {[sorted(b.vertices) for b in combo]}: regions overlap")
                 continue
             # each fresh id exceeds every vertex before it: max(V)+1, ..., max(V)+size
             b_ids = list(range(max(g.vertices) + 1, max(g.vertices) + 1 + size))
@@ -286,7 +285,7 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
                 inner = is_gs_cut(current, ximg)
             except NotMatchingCovered:
                 transcript.append(
-                    f"family {[sorted(b.vertices) for b in ordered]}: contraction "
+                    f"family {[sorted(b.vertices) for b in combo]}: contraction "
                     "is not matching covered")
                 continue
             if inner is None:
@@ -294,7 +293,7 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
             covered = frozenset().union(*(sep.pair for sep in inner.family))
             if not all(b in covered for b in b_ids):
                 transcript.append(
-                    f"family {[sorted(b.vertices) for b in ordered]}: a replacement "
+                    f"family {[sorted(b.vertices) for b in combo]}: a replacement "
                     "vertex lies in no associated 2-separation")
                 continue
             assignments = []
@@ -304,7 +303,7 @@ def is_essential_gs_cut(g: MultiGraph, shore: Iterable,
                         assignments.append((b, sep))
                         break
             return EssentialGSCertificate(
-                shore=x, barriers=tuple(ordered), regions=tuple(regions),
+                shore=x, barriers=combo, regions=tuple(regions),
                 contracted_ids=tuple(b_ids), contracted_graph=current,
                 shore_image=ximg, inner_certificate=inner,
                 b_assignments=tuple(assignments))

@@ -35,14 +35,15 @@ every class is a single vertex, which is how `is_bicritical` decides.
 
 An all-subsets Tutte-condition checker provides the independent desk-scale
 oracle, and full enumeration of perfect matchings backs the second tightness
-route.
+route.  Both are plain walks over the graph that never ask the engine, so a
+fault in the engine's memo cannot hide from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional
 
 from .errors import EvenShore, GraphTooLarge, NotMatchingCovered, TooSmall
@@ -56,8 +57,8 @@ _TUTTE_LIMIT = 20
 class _Engine:
     """Dense-index matching engine cached on one graph instance."""
 
-    __slots__ = ("g", "n", "adj", "edge_ends", "edges_at", "full", "pm_memo", "pms",
-                 "inc", "known", "compat")
+    __slots__ = ("g", "n", "adj", "edge_ends", "edges_at", "full", "pm_memo", "inc", "known",
+                 "compat")
 
     def __init__(self, g: MultiGraph):
         self.g = g
@@ -71,7 +72,6 @@ class _Engine:
             self.edges_at[j].append(e)
         self.full = g.full_mask
         self.pm_memo = {0: True}
-        self.pms = None
         self.known = None  # the edge-pair table; incidence() builds it
 
     def pm_exists(self, mask: int) -> bool:
@@ -208,44 +208,6 @@ class _Engine:
                 return None
         return frozenset(chosen)
 
-    def all_pms(self, limit: Optional[int] = None) -> tuple:
-        """(list of edge-index frozensets, truncated flag), lexicographic order."""
-        if self.pms is not None:
-            if limit is not None and limit < len(self.pms):
-                return self.pms[:limit], True
-            return self.pms, False
-        out = []
-        truncated = False
-
-        def rec(mask, chosen):
-            nonlocal truncated
-            if truncated:
-                return
-            if mask == 0:
-                out.append(frozenset(chosen))
-                if limit is not None and len(out) >= limit:
-                    truncated = True
-                return
-            if not self.pm_exists(mask):
-                return
-            v = (mask & -mask).bit_length() - 1
-            for e in self.edges_at[v]:
-                i, j = self.edge_ends[e]
-                w = j if i == v else i
-                wbit = 1 << w
-                if mask & wbit:
-                    chosen.append(e)
-                    rec(mask & ~((1 << v) | wbit), chosen)
-                    chosen.pop()
-                    if truncated:
-                        return
-
-        if self.n % 2 == 0:
-            rec(self.full, [])
-        if not truncated:
-            self.pms = out  # complete enumeration is worth keeping
-        return out, truncated
-
 
 def _engine(g: MultiGraph) -> _Engine:
     return graph_memo(g, "engine", lambda: _Engine(g))
@@ -313,12 +275,40 @@ class MatchingEnumeration:
         return len(self.matchings)
 
 
+def _perfect_matchings(g: MultiGraph):
+    """Every perfect matching as a frozenset of edge indices, lexicographically.
+
+    The lowest unmatched vertex is matched along each of its edges in index
+    order; a branch ends when that vertex has no unmatched neighbour.
+    """
+    idx = g.index
+    edges_at = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        pair = (1 << idx[u]) | (1 << idx[v])
+        edges_at[idx[u]].append((e, pair))
+        edges_at[idx[v]].append((e, pair))
+
+    def walk(mask, chosen):
+        if not mask:
+            yield frozenset(chosen)
+            return
+        for e, pair in edges_at[(mask & -mask).bit_length() - 1]:
+            if pair & mask == pair:
+                chosen.append(e)
+                yield from walk(mask & ~pair, chosen)
+                chosen.pop()
+
+    if g.n % 2 == 0:
+        yield from walk(g.full_mask, [])
+
+
 def enumerate_perfect_matchings(g: MultiGraph, limit: Optional[int] = None) -> MatchingEnumeration:
-    """All perfect matchings (parallel edges distinct), flagged if truncated."""
+    """All perfect matchings (parallel edges distinct), flagged if more than limit exist."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    pms, truncated = _engine(g).all_pms(limit)
-    return MatchingEnumeration(tuple(Matching(g, m) for m in pms), truncated)
+    pms = tuple(islice(_perfect_matchings(g), None if limit is None else limit + 1))
+    truncated = limit is not None and len(pms) > limit
+    return MatchingEnumeration(tuple(Matching(g, m) for m in pms[:limit]), truncated)
 
 
 # -- matching covered, the maximal-barrier partition, bicritical ----------
@@ -418,13 +408,17 @@ def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
 
 
 def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
-    """Independent tightness route: count cut edges in every perfect matching."""
+    """Independent tightness route: count cut edges in every perfect matching.
+
+    The matchings come from `_perfect_matchings`, kept as one graph-level
+    tuple; the engine's memo and edge-pair table are never read.
+    """
     cut = make_cut(g, shore)
     if len(cut.shore) % 2 == 0:
         raise EvenShore("tightness is tested on odd shores")
     _require_matching_covered(g)
     cut_set = frozenset(cut.edge_indices)
-    for m in _engine(g).all_pms()[0]:
+    for m in graph_memo(g, "perfect_matchings", lambda: tuple(_perfect_matchings(g))):
         if len(m & cut_set) != 1:
             return TightnessVerdict(False, Matching(g, m))
     return TightnessVerdict(True, None)

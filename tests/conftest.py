@@ -12,9 +12,9 @@ import random
 import networkx as nx
 import pytest
 
-from tightcuts.corpus import connected_graphs, edge_splice
+from tightcuts.corpus import connected_graphs, splice_chain
 from tightcuts.formats import write_graph6
-from tightcuts.graphcore import build_graph, relabel_graph
+from tightcuts.graphcore import build_graph
 from tightcuts.matching import is_matching_covered
 
 SAMPLE10_SEED = 20260822
@@ -83,20 +83,6 @@ def sample10_path(tmp_path_factory, sample10):
     path = tmp_path_factory.mktemp("corpus") / "sample10.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in sample10))
     return path
-
-
-def splice_chain(rng, parts, target):
-    """Splice seeded parts along seeded edges until the chain has target vertices."""
-    g = rng.choice(parts)
-    while g.n < target:
-        part = rng.choice([p for p in parts if p.n - 2 <= target - g.n])
-        x, y = rng.choice(g.edges)
-        a, b = rng.choice(part.edges)
-        fresh = iter(range(max(g.vertices) + 1, max(g.vertices) + part.n))
-        mapping = {v: next(fresh) for v in part.order if v not in (a, b)}
-        mapping[a], mapping[b] = x, y
-        g = edge_splice(g, relabel_graph(part, mapping), x, y)
-    return g
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import splice_chain
-from tightcuts.corpus import gen_h_n, gen_named
+from tightcuts.corpus import gen_h_n, gen_named, splice_chain
 from tightcuts.decomp import decompose, find_nontrivial_tight_cut
 from tightcuts.elp import (enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
                            two_separations)

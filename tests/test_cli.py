@@ -50,6 +50,19 @@ def test_analyze_json_report(capsys, g6_file):
     assert report.to_json_obj() == obj
 
 
+def test_analyze_lists_tight_cuts_up_to_the_barrier_cap(capsys, g6_file):
+    # the tight-cut listing shares the barrier enumeration's size gate, which
+    # elp_set needs: gen_h_n(4) has 18 vertices, gen_h_n(5) 22
+    code, obj = run_json(capsys, ["analyze", "--json", "--input",
+                                  g6_file("h.g6", gen_h_n(4), gen_h_n(5))])
+    assert code == 0
+    h4, h5 = obj["findings"]["graphs"]
+    assert h4["n"] == 18 and len(h4["nontrivial_tight_cuts"]) == 35
+    assert all(c["elp_count"] >= 1 for c in h4["nontrivial_tight_cuts"])
+    assert h5["n"] == 22
+    assert h5["nontrivial_barriers"] is None and h5["nontrivial_tight_cuts"] is None
+
+
 def test_analyze_uncovered_graph(capsys, tmp_path):
     path = tmp_path / "star.g6"
     path.write_text("CF\n")  # a star: no perfect matching

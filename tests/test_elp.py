@@ -5,10 +5,9 @@ import pytest
 from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.elp import (all_two_separation_cuts, barrier_cuts, elp_set,
                            enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
-                           lift_from_contraction, two_separation_cuts, two_separations)
-from tightcuts.errors import (BadCertificate, EmptySet, GraphMismatch, GraphTooLarge,
-                              NotTight, TrivialCut)
-from tightcuts.graphcore import build_graph, contract, make_cut, removed_components
+                           two_separation_cuts, two_separations)
+from tightcuts.errors import EmptySet, GraphMismatch, GraphTooLarge, NotTight, TrivialCut
+from tightcuts.graphcore import build_graph, make_cut, removed_components
 from tightcuts.matching import enumerate_tight_cuts
 
 
@@ -216,40 +215,6 @@ def test_elp_set_validation():
     assert other == g
     with pytest.raises(GraphMismatch):
         elp_set(g, make_cut(cycle(8), {0, 1, 2}))
-
-
-# -- lifting certificates from a shore contraction -------------------------
-
-
-def test_lift_two_separation():
-    g = cycle(12)
-    far = frozenset(range(5, 12))
-    h = contract(g, far, new_id=99)
-    # {1, 4} separates the contraction into {2,3} and {0, 99}: both even
-    lifted = lift_from_contraction(g, h, 99, 5, {1, 4})
-    assert lifted == frozenset({1, 4})
-    # a separation pair involving the contracted vertex swaps in u2
-    lifted = lift_from_contraction(g, h, 99, 5, {2, 99})
-    assert lifted == frozenset({2, 5})
-
-
-def test_lift_barrier():
-    g = cycle(8)
-    h = contract(g, frozenset({3, 4, 5, 6, 7}), new_id=50)
-    # {1, 50} is a barrier of the contraction (odd components {0} and {2})
-    lifted = lift_from_contraction(g, h, 50, 3, {1, 50})
-    assert lifted == frozenset({1, 3})
-
-
-def test_lift_rejects_junk():
-    g = cycle(12)
-    h = contract(g, frozenset(range(5, 12)), new_id=99)
-    with pytest.raises(BadCertificate):
-        lift_from_contraction(g, h, 99, 5, {1, 2})   # neither kind in h
-    with pytest.raises(BadCertificate):
-        lift_from_contraction(g, h, 99, 5, {1, 77})  # not inside h
-    with pytest.raises(BadCertificate):
-        lift_from_contraction(g, h, 99, 8, {2, 99})  # lands on a non-separation
 
 
 # -- structural property of barriers ---------------------------------------

@@ -315,7 +315,7 @@ def test_tampered_certificates_raise_bad_certificate(case, tamper):
 
 GRAPH_LEVEL_MEMO_KEYS = {"engine", "matching_covered", "two_separations", "barrier_classes",
                          "nontrivial_barriers", "barrier_cuts", "all_two_separation_cuts",
-                         ("tight_cuts", False), ("tight_cuts", True)}
+                         ("tight_cuts", False), ("tight_cuts", True), "perfect_matchings"}
 
 
 def test_memo_holds_graph_level_results_only():

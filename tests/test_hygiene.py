@@ -1,6 +1,8 @@
-"""Import hygiene: every name a library module imports is used in it, only
-`matching` names its private perfect-matching engine or networkx, and every
-library name the benchmark harness in `perfbench/` uses exists.
+"""Import hygiene: every name a library module imports is used in it,
+modules import only modules below them, only `matching` names its private
+perfect-matching engine or networkx, the test oracles in `matching` never
+name the engine, and every library name the benchmark harness in
+`perfbench/` uses exists.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -44,17 +46,71 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(src) == [(2, "Iterable")]
 
 
+# each module may import only the modules before it
+LAYERS = ("errors", "graphcore", "formats", "matching", "elp", "gscut", "decomp", "corpus",
+          "cli")
+
+
+def package_imports(source: str) -> list:
+    """(line, module) for every tightcuts module imported, at any depth of the
+    file, relatively or by absolute name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods = [a.name.partition(".")[2] for a in node.names
+                    if a.name.startswith("tightcuts.")]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base != "tightcuts" and not base.startswith("tightcuts."):
+                    continue
+                base = base.partition(".")[2]
+            # `from . import elp` and `from tightcuts import elp` name modules
+            mods = [base] if base else [a.name for a in node.names]
+        else:
+            continue
+        found.extend((node.lineno, mod) for mod in mods)
+    return sorted(found)
+
+
+def upward_imports(module: str, source: str) -> list:
+    below = LAYERS[:LAYERS.index(module)]  # a module missing from LAYERS fails here
+    return [(line, mod) for line, mod in package_imports(source) if mod not in below]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_downward_only(path):
+    assert upward_imports(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def test_layer_scan_flags_upward_imports():
+    src = ("from . import matching, decomp\n"
+           "from .errors import BadSplice\n"
+           "import tightcuts.corpus\n"
+           "def f():\n"
+           "    from .cli import main\n"
+           "    from tightcuts import graphcore\n")
+    assert upward_imports("gscut", src) == [(1, "decomp"), (3, "corpus"), (5, "cli")]
+    assert upward_imports("errors", src) == [(1, "decomp"), (1, "matching"), (2, "errors"),
+                                             (3, "corpus"), (5, "cli"), (6, "graphcore")]
+
+
+def names_in(node) -> set:
+    """Every name a node imports, reads or reaches as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.alias):
+            found.add(sub.name)
+        elif isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
 def engine_names(source: str) -> list:
     """The engine names a module imports, reads or calls as an attribute."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.alias):
-            found.add(node.name)
-        elif isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return sorted(found & ENGINE_NAMES)
+    return sorted(names_in(ast.parse(source)) & ENGINE_NAMES)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "matching.py"],
@@ -66,6 +122,38 @@ def test_only_matching_names_the_engine(path):
 def test_engine_scan_flags_imports_and_attributes():
     src = "from .matching import _engine\nok = _engine(g).pm_exists(0)\n"
     assert engine_names(src) == ["_engine", "pm_exists"]
+
+
+# the independent routes that cross-check the engine: none may lean on it
+ORACLES = ("tutte_violator", "_perfect_matchings", "enumerate_perfect_matchings",
+           "is_tight_by_enumeration")
+ORACLE_BANNED = {"_engine", "_Engine", "pm_exists", "pm_memo"}
+
+
+def oracle_engine_names(source: str) -> dict:
+    """Per oracle function defined in the source, the engine names it uses."""
+    return {node.name: sorted(names_in(node) & ORACLE_BANNED)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in ORACLES}
+
+
+def test_oracles_share_nothing_with_the_engine():
+    path = next(p for p in MODULES if p.name == "matching.py")
+    assert oracle_engine_names(path.read_text(encoding="utf-8")) == {
+        name: [] for name in ORACLES}
+
+
+def test_oracle_scan_flags_engine_names():
+    src = ("def tutte_violator(g):\n"
+           "    return _engine(g).pm_memo\n"
+           "def is_tight(g):\n"
+           "    return _engine(g)\n"
+           "def is_tight_by_enumeration(g):\n"
+           "    def walk():\n"
+           "        return _Engine(g).pm_exists(0)\n"
+           "    return walk()\n")
+    assert oracle_engine_names(src) == {"tutte_violator": ["_engine", "pm_memo"],
+                                        "is_tight_by_enumeration": ["_Engine", "pm_exists"]}
 
 
 def names_networkx(source: str) -> bool:

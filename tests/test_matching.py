@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nx_is_matching_covered, splice_chain, to_networkx
-from tightcuts.corpus import connected_graphs, gen_h_n, gen_named
+from conftest import nx_is_matching_covered, to_networkx
+from tightcuts.corpus import connected_graphs, gen_h_n, gen_named, splice_chain
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
 from tightcuts.graphcore import MultiGraph, build_graph, cut_edge_indices, make_cut
@@ -52,6 +52,8 @@ def test_enumeration_is_lexicographic_by_edge_index():
 def test_enumeration_limit_and_truncation():
     enum = enumerate_perfect_matchings(gen_named("k4"), limit=1)
     assert len(enum) == 1 and enum.truncated
+    enum = enumerate_perfect_matchings(gen_named("k4"), limit=3)  # all three: nothing left out
+    assert len(enum) == 3 and not enum.truncated
     with pytest.raises(ValueError):
         enumerate_perfect_matchings(gen_named("k4"), limit=0)
 
@@ -170,6 +172,18 @@ def test_both_tightness_routes_agree_on_small_corpus(corpus6):
     for g in corpus6:
         for shore in odd_shores(g):
             assert is_tight(g, shore).tight == is_tight_by_enumeration(g, shore).tight
+
+
+def test_enumeration_route_ignores_a_poisoned_engine_memo():
+    # one wrong subset-DP entry sinks the engine; the second route must not
+    # share it, or a DP fault would pass the routes' cross-check
+    pet = gen_named("petersen")
+    g = MultiGraph(pet.vertices, pet.edges, pet.label_items)  # not the shared fixture
+    assert is_matching_covered(g)
+    _engine(g).pm_memo[g.full_mask] = False
+    assert not has_perfect_matching(g)
+    verdict = is_tight_by_enumeration(g, {0, 1, 2})
+    assert not verdict.tight and verdict.witness.is_perfect
 
 
 def test_witness_holds_the_first_pair_some_matching_holds(corpus6, corpus8, sample10):
