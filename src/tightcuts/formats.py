@@ -58,33 +58,22 @@ def parse_graph6(line: str) -> MultiGraph:
 
 
 def write_graph6(g: MultiGraph) -> str:
-    """Encode a simple graph as one graph6 line (vertices renumbered sorted)."""
-    n = g.n
-    idx = g.index
-    seen = set()
-    adj = [[False] * n for _ in range(n)]
-    for u, v in g.edges:
-        a, b = idx[u], idx[v]
-        if (a, b) in seen:
-            raise ParseError("graph6 cannot encode parallel edges")
-        seen.add((a, b))
-        adj[a][b] = adj[b][a] = True
+    """Encode a simple graph as one graph6 line (vertices renumbered sorted).
+
+    Read from the dense adjacency masks, where parallel edges collapse, so
+    a graph has one exactly when its masks count fewer than 2m edge ends.
+    """
+    n, adj = g.n, g.adj_masks
+    if sum(a.bit_count() for a in adj) != 2 * g.m:
+        raise ParseError("graph6 cannot encode parallel edges")
     if n <= 62:
         head = [n]
     else:
         head = [126 - 63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if adj[i][j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = head[:]
-    for k in range(0, len(bits), 6):
-        byte = 0
-        for b in bits[k:k + 6]:
-            byte = (byte << 1) | b
-        out.append(byte)
+    # column j lists the bits of rows 0..j-1, lowest row first
+    bits = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    out = head + [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
     return "".join(chr(63 + b) for b in out)
 
 

@@ -7,7 +7,12 @@ as a sorted tuple so that the *index* of an edge is its stable reference
 data and graph-level results keyed by name live on the instance; per-shore
 answers are recomputed, and equal but distinct instances share nothing.  The
 memo (`graph_memo`) lives until `drop_memo` or the instance itself frees it:
-decomposition drops each node's memo once the node is split.
+decomposition drops each node's memo once the node is split.  A memo value
+that holds the graph closes a reference cycle, which only the cyclic
+collector frees.  The matching layer keeps none (its engine holds the
+graph's masks and edges, its tight cuts are kept as shores), so reference
+counting frees its memo when the graph is freed; elp's memoised cut lists
+still hold `Cut`s of their graph.
 """
 
 from __future__ import annotations

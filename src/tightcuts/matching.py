@@ -4,7 +4,11 @@ The workhorse is a per-graph engine holding dense bitmask adjacency and a
 memoized "does this vertex subset have a perfect matching" table shared by
 every query against the same graph.  Up to `_DP_LIMIT` vertices the answer
 comes from a subset DP; past it each subset is one networkx blossom call, so
-the pairwise tightness test stays polynomial on a single cut.
+the pairwise tightness test stays polynomial on a single cut.  The engine
+holds the graph's masks, edges and vertex index, not the graph, so it is
+freed with the graph by reference counting.  It builds its dense edge table
+on first use, so the matching-covered test, which reads only masks, never
+builds it.
 
 An odd cut is tight exactly when no two of its edges lie in a common perfect
 matching.  The engine answers that pair question from an edge-pair table
@@ -55,24 +59,32 @@ _TUTTE_LIMIT = 20
 
 
 class _Engine:
-    """Dense-index matching engine cached on one graph instance."""
+    """Dense-index matching engine for one graph, kept in that graph's memo.
 
-    __slots__ = ("g", "n", "adj", "edge_ends", "edges_at", "full", "pm_memo", "inc", "known",
+    It holds the graph's mask tuple, edge tuple and vertex index but not the
+    graph, so the two form no reference cycle.  The dense edge table
+    (`ends`) and the edge-pair table (`incidence`) are built on first use.
+    """
+
+    __slots__ = ("n", "adj", "full", "edges", "index", "edge_ends", "pm_memo", "inc", "known",
                  "compat")
 
     def __init__(self, g: MultiGraph):
-        self.g = g
         self.n = g.n
-        idx = g.index
-        self.adj = list(g.adj_masks)
-        self.edge_ends = [(idx[u], idx[v]) for u, v in g.edges]
-        self.edges_at = [[] for _ in range(self.n)]
-        for e, (i, j) in enumerate(self.edge_ends):
-            self.edges_at[i].append(e)
-            self.edges_at[j].append(e)
+        self.adj = g.adj_masks
         self.full = g.full_mask
+        self.edges = g.edges
+        self.index = g.index
+        self.edge_ends = None  # ends() builds it
         self.pm_memo = {0: True}
         self.known = None  # the edge-pair table; incidence() builds it
+
+    def ends(self) -> list:
+        """Per edge index, its dense (i, j) ends; built on the first call."""
+        if self.edge_ends is None:
+            idx = self.index
+            self.edge_ends = [(idx[u], idx[v]) for u, v in self.edges]
+        return self.edge_ends
 
     def pm_exists(self, mask: int) -> bool:
         """Perfect matching on the vertex subset given as a dense mask."""
@@ -101,7 +113,7 @@ class _Engine:
 
         h = nx.Graph()
         h.add_nodes_from(i for i in range(self.n) if (mask >> i) & 1)
-        h.add_edges_from((i, j) for i, j in self.edge_ends if (mask >> i) & (mask >> j) & 1)
+        h.add_edges_from((i, j) for i, j in self.ends() if (mask >> i) & (mask >> j) & 1)
         return 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == h.number_of_nodes()
 
     def incidence(self) -> list:
@@ -113,16 +125,20 @@ class _Engine:
         f for which G - V(e) - V(f) has a perfect matching.
         """
         if self.known is None:
+            ends = self.ends()
             self.inc = inc = [0] * self.n
-            for e, (i, j) in enumerate(self.edge_ends):
+            for e, (i, j) in enumerate(ends):
                 inc[i] |= 1 << e
                 inc[j] |= 1 << e
-            self.known = [inc[i] | inc[j] for i, j in self.edge_ends]
-            self.compat = [0] * len(self.edge_ends)
+            self.known = [inc[i] | inc[j] for i, j in ends]
+            self.compat = [0] * len(ends)
         return self.inc
 
     def ask(self, e: int, f: int) -> bool:
-        """Settle the pair (e, f) in both rows: does a perfect matching hold both?"""
+        """Settle the pair (e, f) in both rows: does a perfect matching hold both?
+
+        incidence() has built the tables this reads.
+        """
         i, j = self.edge_ends[e]
         k, m = self.edge_ends[f]
         self.known[e] |= 1 << f
@@ -188,23 +204,17 @@ class _Engine:
         Deterministic: the lowest uncovered vertex is matched along its
         lowest-index usable edge at every step.
         """
+        ends = self.ends()
         chosen = []
         while mask:
-            v = (mask & -mask).bit_length() - 1
-            found = False
-            for e in self.edges_at[v]:
-                i, j = self.edge_ends[e]
-                w = j if i == v else i
-                wbit = 1 << w
-                if not (mask & wbit):
-                    continue
-                sub = mask & ~((1 << v) | wbit)
-                if self.pm_exists(sub):
+            vbit = mask & -mask
+            for e, (i, j) in enumerate(ends):
+                pair = (1 << i) | (1 << j)
+                if pair & vbit and pair & mask == pair and self.pm_exists(mask & ~pair):
                     chosen.append(e)
-                    mask = sub
-                    found = True
+                    mask &= ~pair
                     break
-            if not found:
+            else:
                 return None
         return frozenset(chosen)
 
@@ -321,8 +331,8 @@ def is_matching_covered(g: MultiGraph) -> bool:
         if g.n < 2 or g.n % 2 == 1 or not is_connected(g):
             return False
         eng = _engine(g)
-        return all(eng.pm_exists(eng.full & ~((1 << i) | (1 << j)))
-                   for i, j in set(eng.edge_ends))
+        return all(eng.pm_exists(eng.full & ~((1 << i) | jbit))  # each edge ij, i < j
+                   for i, nb in enumerate(eng.adj) for jbit in _bits(nb & -(2 << i)))
 
     return graph_memo(g, "matching_covered", compute)
 
@@ -402,7 +412,8 @@ def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     pair = eng.first_pair(mask)
     if pair is None:
         return TightnessVerdict(True, None)
-    (i, j), (k, m) = eng.edge_ends[pair[0]], eng.edge_ends[pair[1]]
+    ends = eng.ends()
+    (i, j), (k, m) = ends[pair[0]], ends[pair[1]]
     sub = eng.extract_pm(eng.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m)))
     return TightnessVerdict(False, Matching(g, sub | set(pair)))
 
@@ -411,14 +422,20 @@ def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     """Independent tightness route: count cut edges in every perfect matching.
 
     The matchings come from `_perfect_matchings`, kept as one graph-level
-    tuple; the engine's memo and edge-pair table are never read.
+    tuple; the engine's memo and edge-pair table are never read, not even
+    for the precondition: the graph must be connected and even, and every
+    edge must lie in one of those matchings.
     """
     cut = make_cut(g, shore)
     if len(cut.shore) % 2 == 0:
         raise EvenShore("tightness is tested on odd shores")
-    _require_matching_covered(g)
+    pms = ()
+    if g.n >= 2 and g.n % 2 == 0 and is_connected(g):
+        pms = graph_memo(g, "perfect_matchings", lambda: tuple(_perfect_matchings(g)))
+    if not pms or len(frozenset().union(*pms)) != g.m:
+        raise NotMatchingCovered("operation requires a matching covered graph")
     cut_set = frozenset(cut.edge_indices)
-    for m in graph_memo(g, "perfect_matchings", lambda: tuple(_perfect_matchings(g))):
+    for m in pms:
         if len(m & cut_set) != 1:
             return TightnessVerdict(False, Matching(g, m))
     return TightnessVerdict(True, None)
@@ -448,7 +465,7 @@ def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
         n = g.n
         lo, hi = _shore_bounds(n, nontrivial_only)
         below = [0] * n  # per vertex, its edges to lower vertices
-        for e, (i, j) in enumerate(eng.edge_ends):
+        for e, (i, j) in enumerate(eng.ends()):
             below[max(i, j)] |= 1 << e
         shores = []
 
@@ -472,6 +489,7 @@ def enumerate_tight_cuts(g: MultiGraph, nontrivial_only: bool = False) -> list:
         order = g.order
         members = sorted((tuple(i for i in range(n) if (s >> i) & 1) for s in shores),
                          key=lambda t: (len(t), t))
-        return tuple(Cut(g, frozenset(order[i] for i in t)) for t in members)
+        return tuple(frozenset(order[i] for i in t) for t in members)
 
-    return list(graph_memo(g, ("tight_cuts", nontrivial_only), compute))
+    # the memo keeps shores, not Cuts, which would hold g and close a cycle
+    return [Cut(g, s) for s in graph_memo(g, ("tight_cuts", nontrivial_only), compute)]

@@ -34,13 +34,19 @@ def nx_is_matching_covered(gnx):
     n = gnx.number_of_nodes()
     if n % 2 or n < 2 or not nx.is_connected(gnx):
         return False
-    if 2 * len(nx.max_weight_matching(gnx, maxcardinality=True)) != n:
+    found = nx.max_weight_matching(gnx, maxcardinality=True)
+    if 2 * len(found) != n:
         return False
+    covered = {frozenset(e) for e in found}  # edges already in a perfect matching
     for u, v in list(gnx.edges()):
+        if frozenset((u, v)) in covered:
+            continue
         h = nx.Graph(gnx)
         h.remove_nodes_from((u, v))
-        if 2 * len(nx.max_weight_matching(h, maxcardinality=True)) != n - 2:
+        rest = nx.max_weight_matching(h, maxcardinality=True)
+        if 2 * len(rest) != n - 2:
             return False
+        covered.update(frozenset(e) for e in rest)
     return True
 
 

@@ -1,10 +1,12 @@
 import json
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightcuts.corpus import connected_graphs
 from tightcuts.errors import ParseError
 from tightcuts.formats import (graph_from_json_obj, graph_to_json, graph_to_json_obj,
                                parse_graph6, parse_graph_json, read_graph6_lines,
@@ -71,6 +73,36 @@ def test_write_rejects_parallel_edges():
     g = build_graph(2, [(0, 1), (0, 1)])
     with pytest.raises(ParseError):
         write_graph6(g)
+
+
+def matrix_graph6(g):
+    """Oracle: graph6 through an n x n boolean matrix, the writer's first form."""
+    n = g.n
+    idx = g.index
+    adj = [[False] * n for _ in range(n)]
+    for u, v in g.edges:
+        adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
+    head = [n] if n <= 62 else [126 - 63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    bits = [1 if adj[i][j] else 0 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    out = head[:]
+    for k in range(0, len(bits), 6):
+        byte = 0
+        for b in bits[k:k + 6]:
+            byte = (byte << 1) | b
+        out.append(byte)
+    return "".join(chr(63 + b) for b in out)
+
+
+def test_mask_writer_matches_the_matrix_writer():
+    graphs = [g for n in range(1, 9) for g in connected_graphs(n)]
+    rng = random.Random(5)
+    for n in (40, 63, 64):  # 63 and 64 take the long-form header
+        ids = rng.sample(range(1000), n)  # sparse, unsorted vertex ids
+        graphs.append(graph_from(ids, {tuple(sorted(rng.sample(ids, 2))) for _ in range(3 * n)}))
+    assert len(graphs) > 11000
+    for g in graphs:
+        assert write_graph6(g) == matrix_graph6(g)
 
 
 def test_write_renumbers_sparse_ids():

@@ -127,7 +127,8 @@ def test_engine_scan_flags_imports_and_attributes():
 # the independent routes that cross-check the engine: none may lean on it
 ORACLES = ("tutte_violator", "_perfect_matchings", "enumerate_perfect_matchings",
            "is_tight_by_enumeration")
-ORACLE_BANNED = {"_engine", "_Engine", "pm_exists", "pm_memo"}
+ORACLE_BANNED = {"_engine", "_Engine", "pm_exists", "pm_memo", "is_matching_covered",
+                 "_require_matching_covered"}
 
 
 def oracle_engine_names(source: str) -> dict:
@@ -149,11 +150,13 @@ def test_oracle_scan_flags_engine_names():
            "def is_tight(g):\n"
            "    return _engine(g)\n"
            "def is_tight_by_enumeration(g):\n"
+           "    _require_matching_covered(g)\n"
            "    def walk():\n"
            "        return _Engine(g).pm_exists(0)\n"
            "    return walk()\n")
-    assert oracle_engine_names(src) == {"tutte_violator": ["_engine", "pm_memo"],
-                                        "is_tight_by_enumeration": ["_Engine", "pm_exists"]}
+    assert oracle_engine_names(src) == {
+        "tutte_violator": ["_engine", "pm_memo"],
+        "is_tight_by_enumeration": ["_Engine", "_require_matching_covered", "pm_exists"]}
 
 
 def names_networkx(source: str) -> bool:

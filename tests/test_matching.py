@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import networkx as nx
@@ -10,8 +12,9 @@ from conftest import nx_is_matching_covered, to_networkx
 from tightcuts.corpus import connected_graphs, gen_h_n, gen_named, splice_chain
 from tightcuts.errors import (BadShore, EvenShore, GraphTooLarge, NotMatchingCovered,
                               TooSmall)
-from tightcuts.graphcore import MultiGraph, build_graph, cut_edge_indices, make_cut
-from tightcuts.matching import (_engine, enumerate_perfect_matchings,
+from tightcuts.graphcore import (MultiGraph, build_graph, contract, cut_edge_indices,
+                                 edge_splice, make_cut, relabel_graph)
+from tightcuts.matching import (_engine, barrier_classes, enumerate_perfect_matchings,
                                 enumerate_tight_cuts, has_perfect_matching, is_bicritical,
                                 is_matching_covered, is_tight, is_tight_by_enumeration,
                                 odd_shores, subgraph_has_pm, tutte_violator)
@@ -139,10 +142,44 @@ def test_is_bicritical_matches_the_all_pairs_oracle(corpus8, sample10):
     assert all("bicritical" not in g._cache for g in graphs)
 
 
+def nx_verdict(g):
+    # a parallel copy lies in a perfect matching exactly when its twin does
+    return nx_is_matching_covered(nx.Graph(to_networkx(g)))
+
+
 def test_is_matching_covered_matches_networkx():
     for n in range(1, 7):
         for g in connected_graphs(n):
-            assert is_matching_covered(g) == nx_is_matching_covered(nx.Graph(to_networkx(g)))
+            assert is_matching_covered(g) == nx_verdict(g)
+
+
+def test_tight_cut_contractions_match_networkx(corpus8, sample10):
+    # contracting a shore leaves parallel edges wherever two cut edges share
+    # their far end; the engine's masks collapse them
+    contractions = parallels = 0
+    for g in corpus8 + sample10:
+        for cut in enumerate_tight_cuts(g, nontrivial_only=True):
+            for side in (cut.shore, cut.complement):
+                h = contract(g, side)
+                assert is_matching_covered(h) == nx_verdict(h)
+                contractions += 1
+                parallels += len(set(h.edges)) < h.m
+    assert contractions > 2000 and parallels > 500
+
+
+def test_k4_splices_of_bicritical_graphs_match_networkx(corpus6, corpus8):
+    # the splice the theorem sweep makes: K4 glued on a bicritical graph's first edge
+    spliced = 0
+    for g in corpus6 + corpus8:
+        if g.n < 4 or not is_bicritical(g):
+            continue
+        u, v = g.edges[0]
+        top = max(g.vertices)
+        k4 = relabel_graph(gen_named("k4"), {0: u, 1: v, 2: top + 1, 3: top + 2})
+        h = edge_splice(g, k4, u, v)
+        assert is_matching_covered(h) == nx_verdict(h)
+        spliced += 1
+    assert spliced > 500
 
 
 # -- tightness -------------------------------------------------------------
@@ -184,6 +221,48 @@ def test_enumeration_route_ignores_a_poisoned_engine_memo():
     assert not has_perfect_matching(g)
     verdict = is_tight_by_enumeration(g, {0, 1, 2})
     assert not verdict.tight and verdict.witness.is_perfect
+    # poisoned before any query: the engine now calls Petersen not matching
+    # covered, and the second route must not take its precondition from it
+    g = MultiGraph(pet.vertices, pet.edges, pet.label_items)
+    i, j = g.index[g.edges[0][0]], g.index[g.edges[0][1]]
+    _engine(g).pm_memo[g.full_mask & ~((1 << i) | (1 << j))] = False
+    with pytest.raises(NotMatchingCovered):
+        is_tight(g, {0, 1, 2})
+    verdict = is_tight_by_enumeration(g, {0, 1, 2})
+    assert not verdict.tight and verdict.witness.is_perfect
+
+
+def test_enumeration_route_precondition():
+    with pytest.raises(NotMatchingCovered):
+        is_tight_by_enumeration(path(4), {0})  # middle edge in no matching
+    with pytest.raises(NotMatchingCovered):
+        is_tight_by_enumeration(build_graph(4, [(0, 1), (2, 3)]), {0})  # disconnected
+    with pytest.raises(NotMatchingCovered):
+        is_tight_by_enumeration(build_graph(3, [(0, 1), (1, 2)]), {0})  # odd order
+    with pytest.raises(EvenShore):
+        is_tight_by_enumeration(path(4), {0, 1})  # the shore is checked first
+    assert is_tight_by_enumeration(build_graph(2, [(0, 1), (0, 1)]), {0}).tight
+
+
+def test_memo_is_freed_with_its_graph_without_the_cyclic_gc():
+    # nothing in the memo refers back to the graph, so dropping the last
+    # reference frees the graph, its engine and its results at once
+    pet = gen_named("petersen")
+    g = MultiGraph(pet.vertices, pet.edges, pet.label_items)
+    is_matching_covered(g)
+    barrier_classes(g)
+    enumerate_tight_cuts(g)
+    witness = is_tight(g, {0, 1, 2}).witness
+    assert witness.is_perfect and _engine(g).edge_ends is not None
+    ref = weakref.ref(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g, witness
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_witness_holds_the_first_pair_some_matching_holds(corpus6, corpus8, sample10):
