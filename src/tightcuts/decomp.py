@@ -4,6 +4,10 @@ Splitting on any non-trivial tight cut and recursing on both contractions
 terminates in leaves with no non-trivial tight cut; the count of non-bipartite
 leaves is independent of every choice made on the way down, which is exactly
 what the seeded strategies let tests exercise.
+
+exhaustive draws from every non-trivial tight cut; elp-first draws from
+2-separation cuts and barrier-cuts, which are tight by structure, and walks
+barrier subsets only on bipartite nodes with no 2-separation.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .elp import all_two_separation_cuts, barrier_cuts
-from .graphcore import Cut, MultiGraph, contract, drop_memo, is_bipartite
-from .matching import _require_matching_covered, enumerate_tight_cuts, is_tight
+from .elp import all_two_separation_cuts, barrier_cuts, two_separations
+from .graphcore import Cut, MultiGraph, _component_masks, contract, drop_memo, is_bipartite
+from .matching import _require_matching_covered, barrier_classes, enumerate_tight_cuts, is_tight
 
 
 @dataclass(frozen=True)
@@ -44,25 +48,50 @@ class DecompositionTree:
         return node
 
 
+def _elp_first_candidates(g: MultiGraph) -> list:
+    """Non-trivial tight cuts of a matching covered graph, none exactly when
+    it is a brick or a brace; the first non-empty rule gives them.
+
+    1. The 2-separation cuts.
+    2. On a bipartite graph, the non-trivial barrier-cuts, from the capped
+       barrier walk.
+    3. Otherwise, for each maximal barrier B of at least 2 vertices, the
+       cuts bounding the components of G - B with at least 3 vertices.
+
+    Every component of G - B is odd (Lovász & Plummer, Matching Theory,
+    1986, 5.2), so rule 3 lists non-trivial barrier-cuts.  It is empty only
+    at bricks: if every component of G - B were a single vertex, G would be
+    bipartite; if every maximal barrier is a single vertex, G is bicritical,
+    and a bicritical graph with no 2-separation is a brick (ELP 1982).
+    """
+    cuts = [e.cut for e in all_two_separation_cuts(g)]  # never trivial
+    if cuts:
+        return cuts
+    if is_bipartite(g):
+        return [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
+    return [Cut(g, g.from_mask(comp))
+            for cls in barrier_classes(g) if cls.bit_count() >= 2
+            for comp in _component_masks(g, g.full_mask & ~cls) if comp.bit_count() >= 3]
+
+
 def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
                               seed: int = 0) -> Optional[Cut]:
     """A seed-chosen non-trivial tight cut, or None for bricks and braces.
 
     Each strategy lists candidate cuts and the seed shuffles the list once;
     the first is returned.  exhaustive lists every non-trivial tight cut, so
-    each is equally likely to be drawn; elp-first lists the barrier-cuts and
-    2-separation cuts, which are always tight and always include one when any
-    non-trivial tight cut exists.
+    each is equally likely to be drawn; elp-first lists
+    `_elp_first_candidates`, 2-separation cuts or else barrier-cuts, which
+    are always tight and always include one when any non-trivial tight cut
+    exists.
     """
     _require_matching_covered(g)
     if strategy == "exhaustive":
         # a fresh list each call, so the shuffle below leaves the memo as it is
         candidates = enumerate_tight_cuts(g, nontrivial_only=True)
     elif strategy == "elp-first":
-        cuts = [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
-        cuts += [e.cut for e in all_two_separation_cuts(g)]  # never trivial
         first = {}  # per shore pair, its first cut, in list order
-        for c in cuts:
+        for c in _elp_first_candidates(g):
             first.setdefault(c.shore_pair, c)
         candidates = list(first.values())
     else:
@@ -96,8 +125,15 @@ def brick_number(tree: DecompositionTree) -> int:
 
 
 def is_brick(g: MultiGraph) -> bool:
-    """Matching covered, no non-trivial tight cut, not bipartite."""
-    return not enumerate_tight_cuts(g, nontrivial_only=True) and not is_bipartite(g)
+    """Matching covered, no non-trivial tight cut, not bipartite.
+
+    On a non-bipartite graph that is when elp-first's rules list nothing: no
+    2-separation, and every maximal barrier a single vertex.  Both are
+    tested without listing cuts, in polynomial time.
+    """
+    _require_matching_covered(g)
+    return (not is_bipartite(g) and not two_separations(g)
+            and all(cls.bit_count() == 1 for cls in barrier_classes(g)))
 
 
 def is_brace(g: MultiGraph) -> bool:

@@ -115,29 +115,34 @@ def enumerate_nontrivial_barriers(g: MultiGraph) -> list:
     return list(graph_memo(g, "nontrivial_barriers", compute))
 
 
-def _cuts_of_barriers(g: MultiGraph, barriers: Iterable) -> list:
-    """The cuts bounding odd components of the barriers, each with its first witness."""
+def _barrier_cut_witnesses(g: MultiGraph, barriers: Iterable) -> list:
+    """(shore, witness) per cut bounding an odd component of the barriers, first witness kept."""
     out = []
     seen = set()
     for barrier in barriers:
         for comp in barrier.odd_components:
             if len(comp) % 2 == 0:
                 continue
-            cut = make_cut(g, comp)
-            if cut.shore_pair in seen:
-                continue
-            seen.add(cut.shore_pair)
-            out.append(ElpCut(cut, "barrier-cut", BarrierCutWitness(barrier, comp)))
+            pair = frozenset((comp, g.vertices - comp))
+            if pair not in seen:
+                seen.add(pair)
+                out.append((comp, BarrierCutWitness(barrier, comp)))
     return out
+
+
+def _elp_cuts(g: MultiGraph, kind: str, witnessed: Iterable) -> list:
+    # memos keep (shore, witness) pairs, never Cuts, which would hold g and
+    # close a cycle; each shore is a nonempty proper subset by construction
+    return [ElpCut(Cut(g, shore), kind, witness) for shore, witness in witnessed]
 
 
 def barrier_cuts(g: MultiGraph) -> list:
     """Every cut bounding an odd component of a non-trivial barrier, deduplicated."""
 
     def compute():
-        return tuple(_cuts_of_barriers(g, enumerate_nontrivial_barriers(g)))
+        return tuple(_barrier_cut_witnesses(g, enumerate_nontrivial_barriers(g)))
 
-    return list(graph_memo(g, "barrier_cuts", compute))
+    return _elp_cuts(g, "barrier-cut", graph_memo(g, "barrier_cuts", compute))
 
 
 def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
@@ -190,14 +195,7 @@ def two_separations(g: MultiGraph) -> list:
     return list(graph_memo(g, "two_separations", compute))
 
 
-def two_separation_cuts(g: MultiGraph, sep: TwoSeparation) -> list:
-    """Cuts from grouping the components of G - {u, v} and attaching u or v.
-
-    Every bipartition of the components into two nonempty groups gives two
-    shores (group plus either separation vertex), each shore pair once:
-    component 0 is always on the group side, so no complement of a shore is
-    another shore, and a shore fixes its group and attach vertex.
-    """
+def _two_separation_cut_witnesses(sep: TwoSeparation) -> list:
     comps = sep.components
     u, v = sorted(sep.pair)
     out = []
@@ -208,9 +206,19 @@ def two_separation_cuts(g: MultiGraph, sep: TwoSeparation) -> list:
             continue  # the other group would be empty
         base = frozenset().union(*group)
         for attach in (u, v):
-            out.append(ElpCut(make_cut(g, base | {attach}), "two-separation-cut",
-                              TwoSeparationCutWitness(sep, tuple(group), attach)))
+            out.append((base | {attach}, TwoSeparationCutWitness(sep, tuple(group), attach)))
     return out
+
+
+def two_separation_cuts(g: MultiGraph, sep: TwoSeparation) -> list:
+    """Cuts from grouping the components of G - {u, v} and attaching u or v.
+
+    Every bipartition of the components into two nonempty groups gives two
+    shores (group plus either separation vertex), each shore pair once:
+    component 0 is always on the group side, so no complement of a shore is
+    another shore, and a shore fixes its group and attach vertex.
+    """
+    return _elp_cuts(g, "two-separation-cut", _two_separation_cut_witnesses(sep))
 
 
 def all_two_separation_cuts(g: MultiGraph) -> list:
@@ -220,14 +228,14 @@ def all_two_separation_cuts(g: MultiGraph) -> list:
         out = []
         seen = set()
         for sep in two_separations(g):
-            for elp in two_separation_cuts(g, sep):
-                if elp.cut.shore_pair in seen:
-                    continue
-                seen.add(elp.cut.shore_pair)
-                out.append(elp)
+            for shore, witness in _two_separation_cut_witnesses(sep):
+                pair = frozenset((shore, g.vertices - shore))
+                if pair not in seen:
+                    seen.add(pair)
+                    out.append((shore, witness))
         return tuple(out)
 
-    return list(graph_memo(g, "all_two_separation_cuts", compute))
+    return _elp_cuts(g, "two-separation-cut", graph_memo(g, "all_two_separation_cuts", compute))
 
 
 def elp_set(g: MultiGraph, cut: Cut) -> list:
@@ -245,7 +253,8 @@ def elp_set(g: MultiGraph, cut: Cut) -> list:
     # themselves, not from barrier_cuts' one witness per cut
     sheltered = [bar for bar in enumerate_nontrivial_barriers(g)
                  if bar.vertices <= cut.shore or bar.vertices <= cut.complement]
-    out = [elp for elp in _cuts_of_barriers(g, sheltered) if not elp.cut.is_trivial]
+    out = [elp for elp in _elp_cuts(g, "barrier-cut", _barrier_cut_witnesses(g, sheltered))
+           if not elp.cut.is_trivial]
     assert all(is_laminar(elp.cut, cut) for elp in out), "sheltered barrier-cut must be laminar"
     # a 2-separation cut is never trivial: each shore holds an even component
     # and a separation vertex

@@ -9,10 +9,9 @@ answers are recomputed, and equal but distinct instances share nothing.  The
 memo (`graph_memo`) lives until `drop_memo` or the instance itself frees it:
 decomposition drops each node's memo once the node is split.  A memo value
 that holds the graph closes a reference cycle, which only the cyclic
-collector frees.  The matching layer keeps none (its engine holds the
-graph's masks and edges, its tight cuts are kept as shores), so reference
-counting frees its memo when the graph is freed; elp's memoised cut lists
-still hold `Cut`s of their graph.
+collector frees.  No memo value does: the matching engine holds the
+graph's masks and edges, and tight cuts and elp's cut lists are kept as
+shores, so reference counting frees the memo when the graph is freed.
 """
 
 from __future__ import annotations

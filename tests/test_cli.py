@@ -201,6 +201,14 @@ def test_decompose_strategy_flag(capsys, g6_file):
     assert obj["findings"]["brick_number"] == 0
 
 
+def test_decompose_elp_first_past_the_barrier_walk_cap(capsys, g6_file):
+    # 22 vertices, past the 20-vertex cap that once stopped elp-first here
+    code, obj = run_json(capsys, ["decompose", "--json", "--strategy", "elp-first",
+                                  "--input", g6_file("h5.g6", gen_h_n(5))])
+    assert code == 0
+    assert obj["findings"]["brick_number"] == 10
+
+
 def test_decompose_uncovered(capsys, tmp_path):
     path = tmp_path / "star.g6"
     path.write_text("CF\n")

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from tightcuts import decomp
 from tightcuts.corpus import gen_h_n, gen_named
-from tightcuts.decomp import (brick_number, decompose, find_nontrivial_tight_cut,
-                              is_brace, is_brick)
+from tightcuts.decomp import (_elp_first_candidates, brick_number, decompose,
+                              find_nontrivial_tight_cut, is_brace, is_brick)
 from tightcuts.errors import NotMatchingCovered
-from tightcuts.graphcore import build_graph
-from tightcuts.matching import enumerate_tight_cuts, is_tight
+from tightcuts.graphcore import build_graph, is_bipartite
+from tightcuts.matching import enumerate_tight_cuts, is_tight, is_tight_by_enumeration
 
 
 def cycle(n):
@@ -30,6 +32,17 @@ def test_brick_and_brace_reject_uncovered_graphs():
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotMatchingCovered):
         is_brick(p4)
+    with pytest.raises(NotMatchingCovered):
+        is_brace(p4)
+
+
+def test_is_brick_agrees_with_the_enumeration_definition(corpus6, corpus8, sample10, chains12):
+    bricks = 0
+    for g in corpus6 + corpus8 + sample10 + chains12:
+        expected = not enumerate_tight_cuts(g, nontrivial_only=True) and not is_bipartite(g)
+        assert is_brick(g) == expected
+        bricks += expected
+    assert bricks > 100
 
 
 # -- cut finding -----------------------------------------------------------
@@ -51,6 +64,41 @@ def test_found_cut_is_one_of_the_three():
             assert cut.small_shore in expected
     # the draw shuffles a copy, never the memoised list
     assert [c.shore for c in enumerate_tight_cuts(g, nontrivial_only=True)] == listed
+
+
+def test_elp_first_finds_a_cut_exactly_when_one_exists(corpus8, sample10, chains12):
+    found = 0
+    for g in corpus8 + sample10 + chains12:
+        cut = find_nontrivial_tight_cut(g, "elp-first")
+        assert (cut is None) == (not enumerate_tight_cuts(g, nontrivial_only=True))
+        found += cut is not None
+    assert found > 1000
+
+
+def test_elp_first_candidates_are_tight_by_enumeration(corpus8, sample10, chains12):
+    rng = random.Random(11)
+    checked = 0
+    for g in rng.sample(corpus8, 300) + rng.sample(sample10, 50) + chains12:
+        for cut in _elp_first_candidates(g):
+            assert not cut.is_trivial
+            assert is_tight_by_enumeration(g, cut.shore).tight
+            checked += 1
+    assert checked > 300
+
+
+def test_elp_first_walks_barriers_on_bipartite_nodes_only(monkeypatch):
+    walked = []
+    barrier_cuts = decomp.barrier_cuts
+
+    def bipartite_only(g):
+        assert is_bipartite(g), "barrier walk on a non-bipartite node"
+        walked.append(g)
+        return barrier_cuts(g)
+
+    monkeypatch.setattr(decomp, "barrier_cuts", bipartite_only)
+    for g in (gen_h_n(3), gen_named("petersen"), gen_named("k33"), cycle(8)):
+        decompose(g, "elp-first")
+    assert walked  # the bipartite ones without a 2-separation
 
 
 def test_seed_determinism():
@@ -98,6 +146,18 @@ def test_block_chain_brick_numbers(n, bricks):
     assert brick_number(decompose(g, "elp-first")) == bricks
 
 
+@pytest.mark.parametrize("n", [5, 8, 12, 15])
+def test_elp_first_past_the_barrier_walk_cap(n):
+    # gen_h_n(5) has 22 vertices, past the 20-vertex cap on barrier subset
+    # walks, and gen_h_n(15) has 62; their nodes are all non-bipartite
+    assert brick_number(decompose(gen_h_n(n), "elp-first", n)) == 2 * n
+
+
+def test_elp_first_brick_numbers_match_exhaustive_on_the_corpus(corpus6, corpus8):
+    for g in corpus6 + corpus8:
+        assert brick_number(decompose(g, "elp-first")) == brick_number(decompose(g))
+
+
 def test_h1_leaves_are_k4_with_a_tripled_edge():
     tree = decompose(gen_h_n(1))
     for leaf in tree.leaves():
@@ -129,11 +189,14 @@ def test_exhaustive_trees_are_pinned(chains12):
 
 
 def test_elp_first_trees_are_pinned(chains12):
-    # both strategies share one seeded draw; this pins the elp-first trees
-    # as they were before it, so any change in its candidate order or its
+    # digest of the trees elp-first gives since it lists the 2-separation
+    # cuts alone when a node has any, and otherwise the components of its
+    # maximal barriers: the candidate list changed, so a seed picks another
+    # cut (it was 64f0a3e15f7017c7 when barrier-cuts and 2-separation cuts
+    # were listed together); any change in its candidate order or its
     # shuffle moves the digest
     graphs = [gen_h_n(k) for k in (1, 2, 3)] + chains12
-    assert tree_digest(graphs, "elp-first") == "64f0a3e15f7017c7"
+    assert tree_digest(graphs, "elp-first") == "a4329cad55772c9f"
 
 
 def internal_nodes(tree):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -7,7 +9,8 @@ from tightcuts.elp import (all_two_separation_cuts, barrier_cuts, elp_set,
                            enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
                            two_separation_cuts, two_separations)
 from tightcuts.errors import EmptySet, GraphMismatch, GraphTooLarge, NotTight, TrivialCut
-from tightcuts.graphcore import build_graph, make_cut, removed_components
+from tightcuts.formats import parse_graph6
+from tightcuts.graphcore import MultiGraph, build_graph, make_cut, removed_components
 from tightcuts.matching import enumerate_tight_cuts
 
 
@@ -215,6 +218,32 @@ def test_elp_set_validation():
     assert other == g
     with pytest.raises(GraphMismatch):
         elp_set(g, make_cut(cycle(8), {0, 1, 2}))
+
+
+def analysed_ref(g):
+    """Fill g's elp memo, drop every result, and return a weak reference to g."""
+    cut = enumerate_tight_cuts(g, nontrivial_only=True)[0]
+    assert elp_set(g, cut) and all_two_separation_cuts(g)
+    barrier_cuts(g)
+    return weakref.ref(g)
+
+
+def test_elp_memo_is_freed_with_its_graph_without_the_cyclic_gc():
+    # the memoised cut lists keep shores, not Cuts, so nothing in the memo
+    # refers back to the graph; GsQcd{ has non-trivial barrier-cuts, which
+    # gen_h_n(2) lacks
+    h = gen_h_n(2)
+    graphs = [MultiGraph(h.vertices, h.edges, h.label_items), parse_graph6("GsQcd{")]
+    refs = [analysed_ref(g) for g in graphs]
+    assert barrier_cuts(graphs[1])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del graphs
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- structural property of barriers ---------------------------------------
