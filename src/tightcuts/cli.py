@@ -303,9 +303,9 @@ def _sweep_graph(g6: str, theorems: tuple) -> dict:
                      c.small_shore)
     if "3.3" in theorems or "props" in theorems:
         gs_shores = []
-        for shore in matching.odd_shores(g, nontrivial_only=True):
-            if gscut.is_gs_cut(g, shore) is not None:
-                gs_shores.append(frozenset(shore))
+        if elp.two_separations(g):  # a GS-cut's family is made of 2-separations
+            gs_shores = [shore for shore in matching.odd_shores(g, nontrivial_only=True)
+                         if gscut.is_gs_cut(g, shore) is not None]
         if "props" in theorems:
             for shore in gs_shores:
                 if not matching.is_tight(g, shore).tight:

@@ -6,8 +6,9 @@ leaves is independent of every choice made on the way down, which is exactly
 what the seeded strategies let tests exercise.
 
 exhaustive draws from every non-trivial tight cut; elp-first draws from
-2-separation cuts and barrier-cuts, which are tight by structure, and walks
-barrier subsets only on bipartite nodes with no 2-separation.
+2-separation cuts and barrier-cuts, which are tight by structure, listed as
+shore masks by three rules that walk no barrier subsets and no groupings of
+components.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .elp import all_two_separation_cuts, barrier_cuts, two_separations
-from .graphcore import Cut, MultiGraph, _component_masks, contract, drop_memo, is_bipartite
-from .matching import _require_matching_covered, barrier_classes, enumerate_tight_cuts, is_tight
+from .elp import two_separations
+from .graphcore import Cut, MultiGraph, _bits, _component_masks, contract, drop_memo, is_bipartite
+from .matching import barrier_classes, enumerate_tight_cuts, is_tight
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,20 @@ class DecompositionTree:
 
 
 def _elp_first_candidates(g: MultiGraph) -> list:
-    """Non-trivial tight cuts of a matching covered graph, none exactly when
-    it is a brick or a brace; the first non-empty rule gives them.
+    """Shore masks of non-trivial tight cuts of a matching covered graph,
+    none exactly when it is a brick or a brace; the first rule that lists
+    anything gives them.
 
-    1. The 2-separation cuts.
-    2. On a bipartite graph, the non-trivial barrier-cuts, from the capped
-       barrier walk.
+    1. For each 2-separation {u, v}, each component of G - {u, v} with u,
+       and with v: a 2-separation cut, never trivial, since the component
+       is even and the far shore holds another one and the other end.
+    2. On a bipartite graph, its non-trivial tight cuts.  Each is a
+       barrier-cut: a shore X holds one more vertex of one colour class W
+       than of the other, A; no perfect matching uses an edge from X & A
+       to W - X, so a matching covered graph has none, and X is an odd
+       component of G - (A - X), a barrier of at least 2 vertices.
     3. Otherwise, for each maximal barrier B of at least 2 vertices, the
-       cuts bounding the components of G - B with at least 3 vertices.
+       components of G - B with at least 3 vertices.
 
     Every component of G - B is odd (Lovász & Plummer, Matching Theory,
     1986, 5.2), so rule 3 lists non-trivial barrier-cuts.  It is empty only
@@ -64,13 +71,13 @@ def _elp_first_candidates(g: MultiGraph) -> list:
     bipartite; if every maximal barrier is a single vertex, G is bicritical,
     and a bicritical graph with no 2-separation is a brick (ELP 1982).
     """
-    cuts = [e.cut for e in all_two_separation_cuts(g)]  # never trivial
-    if cuts:
-        return cuts
+    shores = [comp | end for sep in two_separations(g) for comp in sep.component_masks
+              for end in _bits(sep.pair_mask)]
+    if shores:
+        return shores
     if is_bipartite(g):
-        return [e.cut for e in barrier_cuts(g) if not e.cut.is_trivial]
-    return [Cut(g, g.from_mask(comp))
-            for cls in barrier_classes(g) if cls.bit_count() >= 2
+        return [g.to_mask(c.shore) for c in enumerate_tight_cuts(g, nontrivial_only=True)]
+    return [comp for cls in barrier_classes(g) if cls.bit_count() >= 2
             for comp in _component_masks(g, g.full_mask & ~cls) if comp.bit_count() >= 3]
 
 
@@ -78,29 +85,27 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
                               seed: int = 0) -> Optional[Cut]:
     """A seed-chosen non-trivial tight cut, or None for bricks and braces.
 
-    Each strategy lists candidate cuts and the seed shuffles the list once;
-    the first is returned.  exhaustive lists every non-trivial tight cut, so
-    each is equally likely to be drawn; elp-first lists
-    `_elp_first_candidates`, 2-separation cuts or else barrier-cuts, which
-    are always tight and always include one when any non-trivial tight cut
-    exists.
+    Each strategy lists candidate shores, one per shore pair, and the seed
+    shuffles the list once; the first is returned as a cut.  exhaustive
+    lists every non-trivial tight cut, so each is equally likely to be
+    drawn; elp-first lists `_elp_first_candidates`, which are always tight
+    and always include one when any non-trivial tight cut exists.
     """
-    _require_matching_covered(g)
     if strategy == "exhaustive":
-        # a fresh list each call, so the shuffle below leaves the memo as it is
-        candidates = enumerate_tight_cuts(g, nontrivial_only=True)
+        shores = [g.to_mask(c.shore) for c in enumerate_tight_cuts(g, nontrivial_only=True)]
     elif strategy == "elp-first":
-        first = {}  # per shore pair, its first cut, in list order
-        for c in _elp_first_candidates(g):
-            first.setdefault(c.shore_pair, c)
-        candidates = list(first.values())
+        first = {}  # per shore pair, keyed by its side holding index 0, its first shore
+        for s in _elp_first_candidates(g):
+            first.setdefault(s if s & 1 else g.full_mask & ~s, s)
+        shores = list(first.values())
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not candidates:
+    if not shores:
         return None
-    random.Random(seed).shuffle(candidates)
-    assert is_tight(g, candidates[0].shore).tight, "candidate cuts must be tight"
-    return candidates[0]
+    random.Random(seed).shuffle(shores)
+    cut = Cut(g, g.from_mask(shores[0]))
+    assert is_tight(g, cut.shore).tight, "candidate cuts must be tight"
+    return cut
 
 
 def decompose(g: MultiGraph, strategy: str = "exhaustive", seed: int = 0) -> DecompositionTree:
@@ -125,17 +130,10 @@ def brick_number(tree: DecompositionTree) -> int:
 
 
 def is_brick(g: MultiGraph) -> bool:
-    """Matching covered, no non-trivial tight cut, not bipartite.
-
-    On a non-bipartite graph that is when elp-first's rules list nothing: no
-    2-separation, and every maximal barrier a single vertex.  Both are
-    tested without listing cuts, in polynomial time.
-    """
-    _require_matching_covered(g)
-    return (not is_bipartite(g) and not two_separations(g)
-            and all(cls.bit_count() == 1 for cls in barrier_classes(g)))
+    """Matching covered, no non-trivial tight cut, not bipartite."""
+    return not _elp_first_candidates(g) and not is_bipartite(g)
 
 
 def is_brace(g: MultiGraph) -> bool:
     """Matching covered, no non-trivial tight cut, bipartite."""
-    return not enumerate_tight_cuts(g, nontrivial_only=True) and is_bipartite(g)
+    return not _elp_first_candidates(g) and is_bipartite(g)

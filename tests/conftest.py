@@ -50,6 +50,29 @@ def nx_is_matching_covered(gnx):
     return True
 
 
+def k44_path(blocks):
+    """K_{4,4} blocks spliced in a path: a bipartite brace chain with no
+    2-separation, 6 * blocks + 2 vertices and 12 * blocks + 4 edges.
+
+    Each splice deletes a vertex x of the newest block, from the class whose
+    neighbours lie in that block alone, and a vertex of the other class of a
+    fresh K_{4,4}, then joins their neighbourhoods by a bijection.
+    """
+    edges = {(a, b) for a in range(4) for b in range(4, 8)}
+    far = [4, 5, 6, 7]  # the newest block's class with no edge leaving it
+    n = 8
+    for _ in range(blocks - 1):
+        x = far[-1]
+        nbrs = sorted(a + b - x for a, b in edges if x in (a, b))
+        edges = {e for e in edges if x not in e}
+        near, far = range(n, n + 4), list(range(n + 4, n + 7))
+        edges |= {(a, b) for a in near for b in far}
+        edges |= set(zip(nbrs, near))
+        n += 7
+    dense = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return build_graph(len(dense), sorted((dense[a], dense[b]) for a, b in edges))
+
+
 def by_label(g):
     return {lab: v for v, lab in g.label_items}
 

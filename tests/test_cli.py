@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import tightcuts
+from conftest import k44_path
 from tightcuts import decomp
 from tightcuts.cli import Report, _sweep_graph, main, report_from_json_obj
 from tightcuts.corpus import gen_h_n, gen_h_n_prime, gen_named
@@ -202,11 +203,17 @@ def test_decompose_strategy_flag(capsys, g6_file):
 
 
 def test_decompose_elp_first_past_the_barrier_walk_cap(capsys, g6_file):
-    # 22 vertices, past the 20-vertex cap that once stopped elp-first here
+    # 22 and 26 vertices, past the 20-vertex cap that once stopped elp-first
+    # here; the path of K_{4,4}s is bipartite with no 2-separation
     code, obj = run_json(capsys, ["decompose", "--json", "--strategy", "elp-first",
                                   "--input", g6_file("h5.g6", gen_h_n(5))])
     assert code == 0
     assert obj["findings"]["brick_number"] == 10
+    code, obj = run_json(capsys, ["decompose", "--json", "--strategy", "elp-first",
+                                  "--input", g6_file("k44.g6", k44_path(4))])
+    assert code == 0
+    assert obj["findings"]["brick_number"] == 0
+    assert [leaf["kind"] for leaf in obj["findings"]["leaves"]] == ["brace"] * 4
 
 
 def test_decompose_uncovered(capsys, tmp_path):

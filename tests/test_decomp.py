@@ -1,16 +1,19 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from tightcuts import decomp
+from conftest import k44_path
 from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.decomp import (_elp_first_candidates, brick_number, decompose,
                               find_nontrivial_tight_cut, is_brace, is_brick)
+from tightcuts.elp import barrier_cuts
 from tightcuts.errors import NotMatchingCovered
 from tightcuts.graphcore import build_graph, is_bipartite
-from tightcuts.matching import enumerate_tight_cuts, is_tight, is_tight_by_enumeration
+from tightcuts.matching import (enumerate_tight_cuts, is_matching_covered, is_tight,
+                                is_tight_by_enumeration)
 
 
 def cycle(n):
@@ -37,12 +40,14 @@ def test_brick_and_brace_reject_uncovered_graphs():
 
 
 def test_is_brick_agrees_with_the_enumeration_definition(corpus6, corpus8, sample10, chains12):
-    bricks = 0
+    bricks = braces = 0
     for g in corpus6 + corpus8 + sample10 + chains12:
-        expected = not enumerate_tight_cuts(g, nontrivial_only=True) and not is_bipartite(g)
-        assert is_brick(g) == expected
-        bricks += expected
-    assert bricks > 100
+        leaf = not enumerate_tight_cuts(g, nontrivial_only=True)
+        assert is_brick(g) == (leaf and not is_bipartite(g))
+        assert is_brace(g) == (leaf and is_bipartite(g))
+        bricks += is_brick(g)
+        braces += is_brace(g)
+    assert bricks > 100 and braces >= 8  # the corpus has 8, K2, C4 and K3,3 among them
 
 
 # -- cut finding -----------------------------------------------------------
@@ -79,26 +84,62 @@ def test_elp_first_candidates_are_tight_by_enumeration(corpus8, sample10, chains
     rng = random.Random(11)
     checked = 0
     for g in rng.sample(corpus8, 300) + rng.sample(sample10, 50) + chains12:
-        for cut in _elp_first_candidates(g):
-            assert not cut.is_trivial
-            assert is_tight_by_enumeration(g, cut.shore).tight
+        for shore in _elp_first_candidates(g):
+            assert 3 <= shore.bit_count() <= g.n - 3  # non-trivial
+            assert is_tight_by_enumeration(g, g.from_mask(shore)).tight
             checked += 1
     assert checked > 300
 
 
-def test_elp_first_walks_barriers_on_bipartite_nodes_only(monkeypatch):
-    walked = []
-    barrier_cuts = decomp.barrier_cuts
+def bipartite_sample(count, seed=20261020):
+    """Seeded matching covered bipartite graphs on 10 to 20 vertices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(5, 10)
+        p = rng.uniform(0.25, 0.6)
+        g = build_graph(2 * k, [(i, k + j) for i in range(k) for j in range(k)
+                                if rng.random() < p])
+        if is_matching_covered(g):
+            out.append(g)
+    return out
 
-    def bipartite_only(g):
-        assert is_bipartite(g), "barrier walk on a non-bipartite node"
-        walked.append(g)
-        return barrier_cuts(g)
 
-    monkeypatch.setattr(decomp, "barrier_cuts", bipartite_only)
-    for g in (gen_h_n(3), gen_named("petersen"), gen_named("k33"), cycle(8)):
-        decompose(g, "elp-first")
-    assert walked  # the bipartite ones without a 2-separation
+def test_bipartite_tight_cuts_are_barrier_cuts(corpus8):
+    # the fact elp-first's bipartite rule stands on: in a bipartite matching
+    # covered graph every non-trivial tight cut is a barrier-cut, so listing
+    # the tight cuts lists what the barrier walk did
+    graphs = [g for g in corpus8 if is_bipartite(g)] + bipartite_sample(100)
+    cuts = 0
+    for g in graphs:
+        tight = {c.shore_pair for c in enumerate_tight_cuts(g, nontrivial_only=True)}
+        walked = {e.cut.shore_pair for e in barrier_cuts(g) if not e.cut.is_trivial}
+        assert tight == walked
+        cuts += len(tight)
+    assert len(graphs) > 120 and cuts > 200
+
+
+def k4_fan(k):
+    """u = 0 and v = 1 joined through k disjoint K4s, u to one vertex of
+    each and v to another: matching covered and non-bipartite."""
+    edges = []
+    for i in range(2, 4 * k + 2, 4):
+        edges += [(a, b) for a in range(i, i + 4) for b in range(a + 1, i + 4)]
+        edges += [(0, i), (1, i + 1)]
+    return build_graph(4 * k + 2, edges)
+
+
+def test_elp_first_lists_each_component_once_per_end():
+    # 2-separations are {u, v}, with k components, and inside each K4 the
+    # pair joined to u and v, with 2; rule 1 gives each component with
+    # either end, 2k + 4k shores, linear in k, where the groupings of
+    # {u, v}'s components alone number 2 * (2^(k-1) - 1)
+    g = k4_fan(15)
+    assert g.n == 62
+    shores = _elp_first_candidates(g)
+    # a K4 with u or v; the pair's 2-vertex component, or the rest, with an end
+    assert Counter(s.bit_count() for s in shores) == Counter({5: 30, 3: 30, 59: 30})
+    assert len({s if s & 1 else g.full_mask & ~s for s in shores}) == 60
 
 
 def test_seed_determinism():
@@ -146,11 +187,19 @@ def test_block_chain_brick_numbers(n, bricks):
     assert brick_number(decompose(g, "elp-first")) == bricks
 
 
-@pytest.mark.parametrize("n", [5, 8, 12, 15])
-def test_elp_first_past_the_barrier_walk_cap(n):
-    # gen_h_n(5) has 22 vertices, past the 20-vertex cap on barrier subset
-    # walks, and gen_h_n(15) has 62; their nodes are all non-bipartite
-    assert brick_number(decompose(gen_h_n(n), "elp-first", n)) == 2 * n
+@pytest.mark.parametrize("g,seed,bricks,braces", [
+    *(pytest.param(gen_h_n(n), n, 2 * n, 0, id=str(n)) for n in (5, 8, 12, 15)),
+    pytest.param(k44_path(4), 4, 0, 4, id="k44-path"),
+])
+def test_elp_first_past_the_barrier_walk_cap(g, seed, bricks, braces):
+    # gen_h_n(5) has 22 vertices, past the 20-vertex cap barrier subset walks
+    # had, and gen_h_n(15) has 62; their nodes are all non-bipartite.  The
+    # 26-vertex path of K_{4,4}s is bipartite with no 2-separation, so every
+    # split comes from its tight cuts, and exhaustive must agree
+    kinds = Counter(leaf.leaf_kind for leaf in decompose(g, "elp-first", seed).leaves())
+    assert kinds == Counter(brick=bricks, brace=braces)
+    if braces:
+        assert Counter(leaf.leaf_kind for leaf in decompose(g).leaves()) == kinds
 
 
 def test_elp_first_brick_numbers_match_exhaustive_on_the_corpus(corpus6, corpus8):
@@ -189,14 +238,15 @@ def test_exhaustive_trees_are_pinned(chains12):
 
 
 def test_elp_first_trees_are_pinned(chains12):
-    # digest of the trees elp-first gives since it lists the 2-separation
-    # cuts alone when a node has any, and otherwise the components of its
-    # maximal barriers: the candidate list changed, so a seed picks another
-    # cut (it was 64f0a3e15f7017c7 when barrier-cuts and 2-separation cuts
-    # were listed together); any change in its candidate order or its
-    # shuffle moves the digest
+    # digest of the trees elp-first gives since it lists one shore per
+    # 2-separation component and end instead of every grouping of the
+    # components, and a bipartite node's tight cuts instead of its barrier
+    # walk: the candidate lists changed, so a seed picks another cut (it was
+    # a4329cad55772c9f before, and 64f0a3e15f7017c7 when barrier-cuts and
+    # 2-separation cuts were listed together); any change in its candidate
+    # order or its shuffle moves the digest
     graphs = [gen_h_n(k) for k in (1, 2, 3)] + chains12
-    assert tree_digest(graphs, "elp-first") == "a4329cad55772c9f"
+    assert tree_digest(graphs, "elp-first") == "184a759620d1e951"
 
 
 def internal_nodes(tree):

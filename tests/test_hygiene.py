@@ -1,7 +1,8 @@
 """Import hygiene: every name a library module imports is used in it,
 modules import only modules below them, only `matching` names its private
 perfect-matching engine or networkx, the test oracles in `matching` never
-name the engine, and every library name the benchmark harness in
+name the engine, `decomp` reaches no barrier walk, grouping list or private
+matching name, and every library name the benchmark harness in
 `perfbench/` uses exists.
 
 No linter ships with the project, so this walks each module's AST.  The
@@ -157,6 +158,48 @@ def test_oracle_scan_flags_engine_names():
     assert oracle_engine_names(src) == {
         "tutte_violator": ["_engine", "pm_memo"],
         "is_tight_by_enumeration": ["_Engine", "_require_matching_covered", "pm_exists"]}
+
+
+# decomp's elp-first rules are polynomial: no barrier subset walk, no list of
+# 2-separation groupings, and no matching-covered check of its own (its
+# callees raise NotMatchingCovered)
+DECOMP_BANNED = {"enumerate_nontrivial_barriers", "barrier_cuts", "all_two_separation_cuts",
+                 "two_separation_cuts", "_BARRIER_ENUM_LIMIT", "_require_matching_covered"}
+
+
+def decomp_reach(source: str) -> dict:
+    """The banned names a module uses, the names it imports from elp, and
+    the private names it imports from matching."""
+    tree = ast.parse(source)
+    imported = {"elp": set(), "matching": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("tightcuts.")
+            if module in imported:
+                imported[module].update(alias.name for alias in node.names)
+    return {"banned": sorted(names_in(tree) & DECOMP_BANNED),
+            "from_elp": sorted(imported["elp"]),
+            "private_from_matching": sorted(n for n in imported["matching"] if n.startswith("_"))}
+
+
+def test_decomp_reaches_only_the_polynomial_rules():
+    path = next(p for p in MODULES if p.name == "decomp.py")
+    assert decomp_reach(path.read_text(encoding="utf-8")) == {
+        "banned": [], "from_elp": ["two_separations"], "private_from_matching": []}
+
+
+def test_decomp_scan_flags_walks_and_private_names():
+    # the imports decomp had while it walked barrier subsets
+    src = ("from .elp import all_two_separation_cuts, barrier_cuts, two_separations\n"
+           "from .matching import _require_matching_covered, barrier_classes, is_tight\n"
+           "from . import elp\n"
+           "def f(g):\n"
+           "    return elp.enumerate_nontrivial_barriers(g), elp._BARRIER_ENUM_LIMIT\n")
+    assert decomp_reach(src) == {
+        "banned": ["_BARRIER_ENUM_LIMIT", "_require_matching_covered", "all_two_separation_cuts",
+                   "barrier_cuts", "enumerate_nontrivial_barriers"],
+        "from_elp": ["all_two_separation_cuts", "barrier_cuts", "two_separations"],
+        "private_from_matching": ["_require_matching_covered"]}
 
 
 def names_networkx(source: str) -> bool:
