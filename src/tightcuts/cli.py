@@ -25,7 +25,8 @@ from .errors import (BadParameter, BadShore, BadVertex, EvenShore, GraphTooLarge
                      NeedExternalCorpus, NotMatchingCovered, NotTight, ParseError,
                      SearchBudgetExceeded, TightcutsError, TrivialCut)
 from .formats import parse_graph6, parse_graph_json, read_graph6_lines, write_graph6
-from .graphcore import MultiGraph, edge_splice, make_cut, relabel_graph
+from .graphcore import (MultiGraph, contract, edge_splice, edges_between, make_cut,
+                        relabel_graph, removed_components)
 
 VERSION = "0.1.0"
 
@@ -322,8 +323,6 @@ def _sweep_graph(g6: str, theorems: tuple) -> dict:
 
 
 def _sweep_props(g, ntc, fail):
-    from .graphcore import contract, edges_between, removed_components
-
     for barrier in (elp.enumerate_nontrivial_barriers(g)
                     if g.n <= elp._BARRIER_ENUM_LIMIT else ()):
         b = barrier.vertices
@@ -378,12 +377,6 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     if not lines:
         print("warning: empty corpus, vacuous pass", file=sys.stderr)
-        report = Report("verify", _digest(b""))
-        report.findings = {"theorems": list(theorems), "graphs": 0, "cuts": 0,
-                           "failures": [], "per_theorem": {}}
-        if args.json:
-            print(json.dumps(report.to_json_obj(), sort_keys=True))
-        return EXIT_OK
     jobs = args.jobs or os.cpu_count() or 1
     results = [None] * len(lines)
     if jobs <= 1:

@@ -9,9 +9,10 @@ sit compatibly with a given non-trivial tight cut C.
 
 Every barrier lies inside one maximal barrier, and the maximal barriers of a
 matching covered graph partition its vertex set (`matching.barrier_classes`),
-so barrier search walks the subsets of one class at a time.  Candidates are
-tested as dense-index masks, counting odd components by popcount; frozensets
-are built only for the barriers and 2-separations that are found.
+so barrier enumeration walks the subsets of one class at a time, and
+`is_barrier_cut` counts odd components once per side.  Candidates are tested
+as dense-index masks, counting odd components by popcount; frozensets are
+built only for the barriers and 2-separations that are found.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ _BARRIER_ENUM_LIMIT = 20
 @dataclass(frozen=True)
 class Barrier:
     vertices: frozenset
-    odd_components: tuple  # the components of G - B witnessing o(G-B) = |B|
+    # every component of G - B, witnessing o(G - B) = |B|; all are odd, as G is
+    # matching covered: B is matched into the odd ones, so an edge from B to
+    # an even component would lie in no perfect matching
+    odd_components: tuple
     maximal: Optional[bool] = None  # set by enumerate_nontrivial_barriers
 
     @property
@@ -121,8 +125,6 @@ def _barrier_cut_witnesses(g: MultiGraph, barriers: Iterable) -> list:
     seen = set()
     for barrier in barriers:
         for comp in barrier.odd_components:
-            if len(comp) % 2 == 0:
-                continue
             pair = frozenset((comp, g.vertices - comp))
             if pair not in seen:
                 seen.add(pair)
@@ -146,12 +148,19 @@ def barrier_cuts(g: MultiGraph) -> list:
 
 
 def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
-    """A barrier having one side of the cut as an odd component, if any exists.
+    """The largest barrier having one side of the cut as an odd component, if any.
 
-    If G[X] is to be a component of G - B then N(X) <= B <= complement(X).  A
-    barrier lies inside one maximal barrier, so a side whose N(X) meets two
-    classes of `barrier_classes` has none; otherwise the search extends N(X)
-    by subsets of the rest of its class off X, smallest extension first.
+    Let X be an odd side with G[X] connected, N = N(X) - X, and M the class
+    of `barrier_classes` holding a vertex of N.  Some barrier B has X as an
+    odd component exactly when N <= M and o(G - (M - X)) = |M - X|, and then
+    M - X is one.  If: X is a component of G - (M - X).  Only if: B holds N
+    and lies in one maximal barrier, so B <= M - X, and the cut is tight.  M
+    is independent and G - M has |M| odd components; those meeting X lie in
+    X, and no vertex of X & M has a neighbour off X.  A perfect matching
+    matches each vertex of M into its own component of G - M, so it crosses
+    the cut r - s times, r the components of G - M inside X and s = |X & M|.
+    Tightness gives r = s + 1, so G - (M - X) has X and |M| - r other odd
+    components, |M - X| in all.
     """
     cut = make_cut(g, shore)
     _require_matching_covered(g)
@@ -164,14 +173,9 @@ def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
         # nonempty: the graph is connected and X is proper
         nbhd = g.to_mask(frozenset().union(*(g.adjacency[v] for v in side))) & ~x
         home = next(c for c in barrier_classes(g) if c & nbhd)
-        if nbhd & ~home:
-            continue
-        pool = _bits(home & ~x & ~nbhd)
-        for size in range(len(pool) + 1):
-            for extra in combinations(pool, size):
-                b = nbhd | sum(extra)
-                if _odd_count(g, b) == b.bit_count():
-                    return _barrier_value(g, g.from_mask(b))
+        b = home & ~x
+        if not nbhd & ~home and _odd_count(g, b) == b.bit_count():
+            return _barrier_value(g, g.from_mask(b))
     return None
 
 

@@ -7,18 +7,28 @@ whole far side for barrier-cuts, component reports for every vertex pair for
 exhaustive cut choice.  They share nothing with the engine's barrier code
 beyond `removed_components`, and the engine must agree with them exactly:
 same sets, witnesses, `maximal` flags, order and seeded choices.
+
+The far-side search stays as the existence oracle for barrier-cuts only:
+`is_barrier_cut` answers from the maximal-barrier partition, returning the
+largest barrier (the class holding N(X), minus X) where the search finds the
+smallest, so the two agree on whether a barrier exists, and the answer is
+checked against its rule.
 """
 
+import json
 import random
 from itertools import combinations
 
 import pytest
+from conftest import k44_path
 
 from tightcuts.corpus import gen_h_n, gen_named, splice_chain
 from tightcuts.decomp import decompose, find_nontrivial_tight_cut
-from tightcuts.elp import (enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
-                           two_separations)
-from tightcuts.graphcore import MultiGraph, build_graph, removed_components
+from tightcuts.elp import (barrier_cuts, enumerate_nontrivial_barriers, is_barrier,
+                           is_barrier_cut, two_separations)
+from tightcuts.graphcore import MultiGraph, build_graph, make_cut, removed_components
+from tightcuts.gscut import (barrier_cut_certificate_to_json_obj, classify_tight_cut,
+                             validate_certificate_json_obj)
 from tightcuts.matching import (barrier_classes, enumerate_tight_cuts, is_matching_covered,
                                 is_tight, odd_shores)
 
@@ -155,9 +165,21 @@ def test_barriers_and_separations_match_oracle_on_chains(chains):
         assert two_separations(g)
 
 
-def barrier_cut_row(g, shore):
+def home_class(g, side):
+    """The class of `barrier_classes` holding N(side), or None if N(side) meets two."""
+    nbhd = neighbourhood(g, side)
+    homes = [c for c in class_sets(g) if c & nbhd]
+    return homes[0] if len(homes) == 1 else None
+
+
+def checked_barrier_cut(g, shore):
+    """`is_barrier_cut`'s answer, after checking one it returns against the rule."""
     got = is_barrier_cut(g, shore)
-    return None if got is None else (got.vertices, got.odd_components)
+    if got is not None:
+        sides = [s for s in make_cut(g, shore).shore_pair if s in got.odd_components]
+        assert sides and got.vertices == home_class(g, sides[0]) - sides[0]
+        assert removed_components(g, got.vertices).odd_count == len(got.vertices)
+    return got
 
 
 def test_is_barrier_cut_matches_oracle_on_tight_cuts(corpus8, sample10, chains):
@@ -165,12 +187,12 @@ def test_is_barrier_cut_matches_oracle_on_tight_cuts(corpus8, sample10, chains):
     hits = misses = extended = 0
     for g in corpus8 + sample10 + chains + [cube()]:
         for cut in enumerate_tight_cuts(g):
-            got = barrier_cut_row(g, cut.shore)
-            assert got == oracle_is_barrier_cut(g, cut.shore)
+            got = checked_barrier_cut(g, cut.shore)
+            assert (got is None) == (oracle_is_barrier_cut(g, cut.shore) is None)
             hits += got is not None
             misses += got is None
             extended += got is not None and not any(
-                got[0] == neighbourhood(g, side) for side in cut.shore_pair)
+                got.vertices == neighbourhood(g, side) for side in cut.shore_pair)
     assert hits and misses and extended
 
 
@@ -181,9 +203,49 @@ def test_is_barrier_cut_matches_oracle_on_non_tight_shores(corpus8, sample10):
         for shore in rng.sample(list(odd_shores(g)), 4):
             if is_tight(g, shore).tight:
                 continue
-            assert barrier_cut_row(g, shore) == oracle_is_barrier_cut(g, shore)
+            got = checked_barrier_cut(g, shore)
+            assert (got is None) == (oracle_is_barrier_cut(g, shore) is None)
             checked += 1
     assert checked > 400
+
+
+def rule_barrier_cut_pairs(g):
+    """Tight cuts with a side K whose N(K) lies in one class M, |M - K| >= 2."""
+    out = set()
+    for cut in enumerate_tight_cuts(g):
+        for side in cut.shore_pair:
+            home = home_class(g, side)
+            if home is not None and len(home - side) >= 2:
+                out.add(cut.shore_pair)
+    return out
+
+
+def test_barrier_cuts_are_the_rule_cuts(corpus8, sample10, chains):
+    # a tight cut's sides are odd and connected, so by the rule a side K
+    # bounds a non-trivial barrier exactly when N(K) lies in one class M
+    # with |M - K| >= 2
+    found = 0
+    for g in corpus8 + sample10 + chains:
+        pairs = {elp.cut.shore_pair for elp in barrier_cuts(g)}
+        assert pairs == rule_barrier_cut_pairs(g)
+        found += len(pairs)
+    assert found > 3000
+
+
+def test_is_barrier_cut_past_the_subset_search():
+    # a subset search of the class holding N(X) grows by 3 pool vertices a
+    # block and takes minutes on this non-tight shore at 62 vertices
+    g = k44_path(10)
+    assert g.n == 62
+    assert is_barrier_cut(g, {0, 4, 5, 6, 7}) is None
+    cuts = enumerate_tight_cuts(g, nontrivial_only=True)
+    assert len(cuts) == 9
+    for cut in cuts:
+        result = classify_tight_cut(g, cut.shore)
+        assert result.verdict == "barrier-cut"
+        side = next(c for c in result.barrier.odd_components if c in cut.shore_pair)
+        obj = barrier_cut_certificate_to_json_obj(result.barrier, side)
+        assert validate_certificate_json_obj(g, json.loads(json.dumps(obj)))
 
 
 def test_exhaustive_cut_choice_matches_oracle(corpus8, sample10):

@@ -294,6 +294,13 @@ def test_verify_empty_corpus_is_vacuous(capsys, tmp_path):
     code = main(["verify", "--input", str(path), "--theorems", "1.3"])
     assert code == 0
     assert "vacuous" in capsys.readouterr().err
+    # the JSON report lists each requested theorem with no failures
+    code = main(["verify", "--json", "--input", str(path), "--theorems", "1.3,props"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "vacuous" in err
+    findings = json.loads(out)["findings"]
+    assert findings["per_theorem"] == {"1.3": {"failures": 0}, "props": {"failures": 0}}
+    assert (findings["graphs"], findings["cuts"], findings["failures"]) == (0, 0, [])
 
 
 def test_verify_external_corpus_file(capsys, g6_file):

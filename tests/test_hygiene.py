@@ -2,8 +2,8 @@
 modules import only modules below them, only `matching` names its private
 perfect-matching engine or networkx, the test oracles in `matching` never
 name the engine, `decomp` reaches no barrier walk, grouping list or private
-matching name, and every library name the benchmark harness in
-`perfbench/` uses exists.
+matching name, `elp.is_barrier_cut` walks no subsets, and every library
+name the benchmark harness in `perfbench/` uses exists.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -200,6 +200,36 @@ def test_decomp_scan_flags_walks_and_private_names():
                    "barrier_cuts", "enumerate_nontrivial_barriers"],
         "from_elp": ["all_two_separation_cuts", "barrier_cuts", "two_separations"],
         "private_from_matching": ["_require_matching_covered"]}
+
+
+# barrier-cut recognition is one component count per side against the
+# class holding N(X): no subset walk
+def barrier_cut_walks(source: str) -> list:
+    """The subset-walk names that `is_barrier_cut`, as defined in the source, uses."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "is_barrier_cut")
+    return sorted(names_in(body) & {"combinations"})
+
+
+def test_is_barrier_cut_walks_no_subsets():
+    path = next(p for p in MODULES if p.name == "elp.py")
+    assert barrier_cut_walks(path.read_text(encoding="utf-8")) == []
+
+
+def test_walk_scan_flags_the_subset_search():
+    # the search is_barrier_cut ran before the maximal-barrier rule
+    src = ("from itertools import combinations\n"
+           "def is_barrier_cut(g, shore):\n"
+           "    for side in sides:\n"
+           "        pool = _bits(home & ~x & ~nbhd)\n"
+           "        for size in range(len(pool) + 1):\n"
+           "            for extra in combinations(pool, size):\n"
+           "                b = nbhd | sum(extra)\n"
+           "                if _odd_count(g, b) == b.bit_count():\n"
+           "                    return _barrier_value(g, g.from_mask(b))\n"
+           "def two_separations(g):\n"
+           "    return list(combinations(g.order, 2))\n")
+    assert barrier_cut_walks(src) == ["combinations"]
 
 
 def names_networkx(source: str) -> bool:
