@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .elp import two_separations
-from .graphcore import Cut, MultiGraph, _bits, _component_masks, contract, drop_memo, is_bipartite
-from .matching import barrier_classes, enumerate_tight_cuts, is_tight
+from .graphcore import Cut, MultiGraph, _bits, _component_masks, drop_memo, is_bipartite
+from .matching import barrier_classes, enumerate_tight_cuts, tight_contractions
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,25 @@ def find_nontrivial_tight_cut(g: MultiGraph, strategy: str = "exhaustive",
     if not shores:
         return None
     random.Random(seed).shuffle(shores)
-    cut = Cut(g, g.from_mask(shores[0]))
-    assert is_tight(g, cut.shore).tight, "candidate cuts must be tight"
-    return cut
+    return Cut(g, g.from_mask(shores[0]))
 
 
 def decompose(g: MultiGraph, strategy: str = "exhaustive", seed: int = 0) -> DecompositionTree:
     """Recursively split on non-trivial tight cuts down to bricks and braces.
 
-    Each node's memo, the input's included, is dropped once its cut is chosen.
+    The input is checked to be matching covered once, by the callees; each
+    split checks its cut is tight (`NotTight` otherwise) and hands both
+    contractions that fact, so no node below the root re-proves it.  Each
+    node's memo, the input's included, is dropped once it is split.
     """
     cut = find_nontrivial_tight_cut(g, strategy, seed)
-    drop_memo(g)  # contraction and bipartiteness read no memo
+    sides = () if cut is None else tight_contractions(g, cut)
+    drop_memo(g)  # the sides are built and bipartiteness reads no memo
     if cut is None:
         kind = "brace" if is_bipartite(g) else "brick"
         return DecompositionTree(g, None, (), kind)
-    shore_side = contract(g, cut.complement)
-    far_side = contract(g, cut.shore)
-    left = decompose(shore_side, strategy, (seed * 1000003 + 1) & 0x7FFFFFFF)
-    right = decompose(far_side, strategy, (seed * 1000003 + 2) & 0x7FFFFFFF)
+    left = decompose(sides[0], strategy, (seed * 1000003 + 1) & 0x7FFFFFFF)
+    right = decompose(sides[1], strategy, (seed * 1000003 + 2) & 0x7FFFFFFF)
     return DecompositionTree(g, cut, (left, right), None)
 
 

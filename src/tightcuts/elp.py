@@ -10,9 +10,11 @@ sit compatibly with a given non-trivial tight cut C.
 Every barrier lies inside one maximal barrier, and the maximal barriers of a
 matching covered graph partition its vertex set (`matching.barrier_classes`),
 so barrier enumeration walks the subsets of one class at a time, and
-`is_barrier_cut` counts odd components once per side.  Candidates are tested
-as dense-index masks, counting odd components by popcount; frozensets are
-built only for the barriers and 2-separations that are found.
+`is_barrier_cut` counts odd components once per side.  `two_separations`
+walks the components of G - {i, j} only when neither vertex is a leaf of a
+BFS tree of the graph less the other.  Candidates are tested as dense-index
+masks, counting odd components by popcount; frozensets are built only for
+the barriers and 2-separations that are found.
 """
 
 from __future__ import annotations
@@ -179,21 +181,58 @@ def is_barrier_cut(g: MultiGraph, shore: Iterable) -> Optional[Barrier]:
     return None
 
 
+def _tree_inner(g: MultiGraph, i: int) -> int:
+    """The non-leaf vertices of a BFS tree of G - i, as a dense-index mask.
+
+    The tree grows from the lowest vertex of G - i, which it spans when
+    G - i is connected; a vertex is inner when it claims a neighbour."""
+    adj = g.adj_masks
+    rest = g.full_mask & ~(1 << i)
+    frontier = rest & -rest
+    seen = (1 << i) | frontier
+    inner = 0
+    while frontier:
+        level = frontier
+        frontier = 0
+        while level:
+            vbit = level & -level
+            level ^= vbit
+            new = adj[vbit.bit_length() - 1] & ~seen
+            if new:
+                inner |= vbit
+                seen |= new
+                frontier |= new
+    return inner
+
+
 def two_separations(g: MultiGraph) -> list:
-    """All 2-vertex sets whose removal leaves >= 2 components, all even."""
+    """All 2-vertex sets whose removal leaves >= 2 components, all even.
+
+    A matching covered graph on 4 or more vertices is 2-connected, so for
+    each vertex i a BFS tree of G - i spans it.  When j is a leaf of that
+    tree, the tree less j spans G - i - j, which is then connected; so a
+    pair {i, j}, i < j, has its components walked only when j is inside the
+    tree of G - i and i inside the tree of G - j.  Pairs come out in
+    (i, j) order of dense index.
+    """
     _require_matching_covered(g)
 
     def compute():
         out = []
         order = g.order
-        for i, j in combinations(range(g.n), 2):
-            pair = (1 << i) | (1 << j)
-            comps = _component_masks(g, g.full_mask & ~pair)
-            if len(comps) >= 2 and not any(c.bit_count() & 1 for c in comps):
-                # components come out by lowest member, as removed_components orders them
-                out.append(TwoSeparation(frozenset((order[i], order[j])),
-                                         tuple(g.from_mask(c) for c in comps),
-                                         pair, tuple(comps)))
+        inner = [_tree_inner(g, i) for i in range(g.n)]
+        for i in range(g.n):
+            for jbit in _bits(inner[i] & -(2 << i)):  # j > i
+                j = jbit.bit_length() - 1
+                if not (inner[j] >> i) & 1:
+                    continue  # i is a leaf of G - j's tree
+                pair = (1 << i) | jbit
+                comps = _component_masks(g, g.full_mask & ~pair)
+                if len(comps) >= 2 and not any(c.bit_count() & 1 for c in comps):
+                    # components come out by lowest member, as removed_components orders them
+                    out.append(TwoSeparation(frozenset((order[i], order[j])),
+                                             tuple(g.from_mask(c) for c in comps),
+                                             pair, tuple(comps)))
         return tuple(out)
 
     return list(graph_memo(g, "two_separations", compute))

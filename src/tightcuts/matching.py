@@ -37,6 +37,12 @@ answer is no (Lovász & Plummer, *Matching Theory*, 1986, 5.2).  So a graph
 on 4 or more vertices is bicritical exactly when it is matching covered and
 every class is a single vertex, which is how `is_bicritical` decides.
 
+The matching-covered check is memoised per graph, and only this module sets
+that memo.  `tight_contractions` sets it on both contractions of a tight
+cut without a check: a tight-cut contraction of a matching covered graph is
+matching covered (its docstring has the proof), so a decomposition checks
+its input once and no node below it.
+
 An all-subsets Tutte-condition checker provides the independent desk-scale
 oracle, and full enumeration of perfect matchings backs the second tightness
 route.  Both are plain walks over the graph that never ask the engine, so a
@@ -50,8 +56,9 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Optional
 
-from .errors import EvenShore, GraphTooLarge, NotMatchingCovered, TooSmall
-from .graphcore import (Cut, MultiGraph, _bits, graph_memo, is_connected, make_cut,
+from .errors import (EvenShore, GraphMismatch, GraphTooLarge, NotMatchingCovered, NotTight,
+                     TooSmall)
+from .graphcore import (Cut, MultiGraph, _bits, contract, graph_memo, is_connected, make_cut,
                         removed_components)
 
 _DP_LIMIT = 26  # past this, pm_exists asks blossom instead of the subset DP
@@ -416,6 +423,29 @@ def is_tight(g: MultiGraph, shore: Iterable) -> TightnessVerdict:
     (i, j), (k, m) = ends[pair[0]], ends[pair[1]]
     sub = eng.extract_pm(eng.full & ~((1 << i) | (1 << j) | (1 << k) | (1 << m)))
     return TightnessVerdict(False, Matching(g, sub | set(pair)))
+
+
+def tight_contractions(g: MultiGraph, cut: Cut) -> tuple:
+    """The contractions (G/X̄, G/X) of a tight cut with shore X, each marked
+    matching covered in its memo.
+
+    G must be matching covered, and then so is each contraction (Lovász
+    1987): G/X̄ is connected because G is, and an edge e of G/X̄ is an edge
+    of G, so it lies in a perfect matching M of G.  M meets the cut once, so
+    M's edges inside X and its one cut edge form a perfect matching of G/X̄
+    that holds e; likewise for G/X.  A cut that is not tight raises
+    `NotTight` with a perfect matching meeting it more than once, before
+    anything is contracted.
+    """
+    if cut.graph != g:
+        raise GraphMismatch("cut belongs to a different graph")
+    verdict = is_tight(g, cut.shore)
+    if not verdict.tight:
+        raise NotTight("tight-cut contraction needs a tight cut", verdict.witness)
+    sides = contract(g, cut.complement), contract(g, cut.shore)
+    for side in sides:
+        graph_memo(side, "matching_covered", lambda: True)
+    return sides
 
 
 def is_tight_by_enumeration(g: MultiGraph, shore: Iterable) -> TightnessVerdict:

@@ -6,14 +6,15 @@ from collections import Counter
 import pytest
 
 from conftest import k44_path
+from tightcuts import matching
 from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.decomp import (_elp_first_candidates, brick_number, decompose,
                               find_nontrivial_tight_cut, is_brace, is_brick)
 from tightcuts.elp import barrier_cuts
-from tightcuts.errors import NotMatchingCovered
-from tightcuts.graphcore import build_graph, is_bipartite
+from tightcuts.errors import GraphMismatch, NotMatchingCovered, NotTight
+from tightcuts.graphcore import MultiGraph, build_graph, contract, is_bipartite, make_cut
 from tightcuts.matching import (enumerate_tight_cuts, is_matching_covered, is_tight,
-                                is_tight_by_enumeration)
+                                is_tight_by_enumeration, tight_contractions)
 
 
 def cycle(n):
@@ -278,6 +279,67 @@ def test_tree_json_shape():
     assert json.loads(json.dumps(obj)) == obj
 
 
+# -- the matching-covered flag a split hands down --------------------------
+
+
+def test_tight_contractions_mark_both_sides_covered():
+    g = cycle(6)
+    cut = make_cut(g, {0, 1, 2})
+    sides = tight_contractions(g, cut)
+    assert sides == (contract(g, cut.complement), contract(g, cut.shore))
+    for side in sides:
+        assert side._cache == {"matching_covered": True}
+    with pytest.raises(GraphMismatch):
+        tight_contractions(cycle(8), cut)
+
+
+def test_tight_contractions_refuse_a_non_tight_cut(monkeypatch):
+    g = cycle(6)
+    flagged = []
+    real_memo = matching.graph_memo
+
+    def recording_memo(h, key, compute):
+        flagged.append((h, key))
+        return real_memo(h, key, compute)
+
+    monkeypatch.setattr(matching, "graph_memo", recording_memo)
+    cut = make_cut(g, {0, 2, 4})  # every edge crosses it
+    with pytest.raises(NotTight) as err:
+        tight_contractions(g, cut)
+    witness = err.value.witness
+    assert witness.is_perfect
+    assert len(witness.edge_indices & set(cut.edge_indices)) == 3
+    assert flagged and all(h is g for h, _ in flagged)  # no contraction got a flag
+
+
+def rebuilt_nodes(tree):
+    """Every node's graph as a fresh instance, sharing no memo with the tree."""
+    yield MultiGraph(tree.graph.vertices, tree.graph.edges, tree.graph.label_items)
+    for child in tree.children:
+        yield from rebuilt_nodes(child)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "elp-first"])
+def test_inherited_flag_is_true_at_every_node(strategy, corpus8, chains12):
+    # each contraction is marked matching covered without a check; a fresh
+    # copy of every node, with no memo, must pass the check itself
+    nodes = 0
+    for seed, g in enumerate(corpus8 + chains12 + [gen_h_n(k) for k in range(1, 5)]):
+        for node in rebuilt_nodes(decompose(g, strategy, seed)):
+            assert is_matching_covered(node)
+            nodes += 1
+    assert nodes > 5000  # 3,178 inputs and their contractions
+
+
+def two_triangles():
+    """Two triangles joined by one edge: connected, even, with a perfect
+    matching, but no triangle edge at the joined vertex lies in one."""
+    return build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+
+
 def test_decompose_rejects_uncovered_graphs():
-    with pytest.raises(NotMatchingCovered):
-        decompose(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    # the root is the one node checked; two triangles pass every other test
+    for g in (build_graph(4, [(0, 1), (1, 2), (2, 3)]), two_triangles()):
+        for strategy in ("exhaustive", "elp-first"):
+            with pytest.raises(NotMatchingCovered):
+                decompose(g, strategy)

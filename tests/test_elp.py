@@ -4,13 +4,15 @@ from itertools import combinations
 
 import pytest
 
+from conftest import k44_path
 from tightcuts.corpus import gen_h_n, gen_named
 from tightcuts.elp import (all_two_separation_cuts, barrier_cuts, elp_set,
                            enumerate_nontrivial_barriers, is_barrier, is_barrier_cut,
                            two_separation_cuts, two_separations)
 from tightcuts.errors import EmptySet, GraphMismatch, GraphTooLarge, NotTight, TrivialCut
 from tightcuts.formats import parse_graph6
-from tightcuts.graphcore import MultiGraph, build_graph, make_cut, removed_components
+from tightcuts.graphcore import (MultiGraph, _component_masks, build_graph, make_cut,
+                                 removed_components)
 from tightcuts.matching import enumerate_tight_cuts
 
 
@@ -108,6 +110,33 @@ def test_two_separations_h1():
     seps = two_separations(g)
     assert len(seps) == 1
     assert {g.labels[v] for v in seps[0].pair} == {"v1", "u3"}
+
+
+def all_pairs_two_separations(g):
+    """Every pair's components walked, in `combinations` order: the walk
+    `two_separations` ran before it skipped spanning-tree leaves, as
+    (pair, components, pair mask, component masks)."""
+    out = []
+    for i, j in combinations(range(g.n), 2):
+        pair = (1 << i) | (1 << j)
+        comps = _component_masks(g, g.full_mask & ~pair)
+        if len(comps) >= 2 and not any(c.bit_count() & 1 for c in comps):
+            out.append((g.from_mask(pair), tuple(g.from_mask(c) for c in comps), pair,
+                        tuple(comps)))
+    return out
+
+
+def test_two_separations_skip_only_tree_leaves(corpus8, sample10, chains12):
+    # a leaf j of the BFS tree of G - i leaves G - i - j connected, so
+    # skipping such pairs loses no separation and reorders nothing
+    graphs = corpus8 + sample10 + chains12 + [gen_h_n(k) for k in range(1, 7)] + [k44_path(4)]
+    found = 0
+    for g in graphs:
+        seps = [(s.pair, s.components, s.pair_mask, s.component_masks)
+                for s in two_separations(g)]
+        assert seps == all_pairs_two_separations(g)
+        found += len(seps)
+    assert found == 472  # 355 of them in corpus8
 
 
 def test_two_separation_cuts_of_one_separation():

@@ -2,8 +2,9 @@
 modules import only modules below them, only `matching` names its private
 perfect-matching engine or networkx, the test oracles in `matching` never
 name the engine, `decomp` reaches no barrier walk, grouping list or private
-matching name, `elp.is_barrier_cut` walks no subsets, and every library
-name the benchmark harness in `perfbench/` uses exists.
+matching name, `elp.is_barrier_cut` walks no subsets, only `matching`
+sets a graph's matching-covered memo, and every library name the benchmark
+harness in `perfbench/` uses exists.
 
 No linter ships with the project, so this walks each module's AST.  The
 package `__init__` is left out of the unused-import scan, since its imports
@@ -230,6 +231,48 @@ def test_walk_scan_flags_the_subset_search():
            "def two_separations(g):\n"
            "    return list(combinations(g.order, 2))\n")
     assert barrier_cut_walks(src) == ["combinations"]
+
+
+# a graph is marked matching covered only by `matching`: by its own check,
+# or by `tight_contractions`, which hands a tight cut's contractions the flag
+def covered_flag_writes(source: str) -> list:
+    """Lines that pass the key "matching_covered" to `graph_memo`, or
+    subscript a `_cache` with it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "graph_memo":
+                continue
+            keys = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "key"]
+        elif isinstance(node, ast.Subscript):
+            value = node.value
+            if not (isinstance(value, ast.Attribute) and value.attr == "_cache"):
+                continue
+            keys = [node.slice]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "matching_covered" for k in keys):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "matching.py"],
+                         ids=lambda p: p.name)
+def test_only_matching_sets_the_covered_flag(path):
+    assert covered_flag_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_covered_flag_scan():
+    src = ("def split(g, cut):\n"
+           "    for side in contract(g, cut.shore), contract(g, cut.complement):\n"
+           "        graph_memo(side, 'matching_covered', lambda: True)\n"
+           "        graphcore.graph_memo(side, key='matching_covered', compute=None)\n"
+           "        side._cache['matching_covered'] = True\n"
+           "    info['matching_covered'] = is_matching_covered(g)\n"
+           "    return graph_memo(g, 'two_separations', list)\n")
+    assert covered_flag_writes(src) == [3, 4, 5]
 
 
 def names_networkx(source: str) -> bool:
